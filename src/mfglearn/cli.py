@@ -98,14 +98,20 @@ class ExperimentSpec:
 
 
 def spec_from_config(config: dict) -> ExperimentSpec:
-    known = set(ExperimentSpec.__dataclass_fields__)
-    unknown = set(config) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "seeds" in config:
-        config = dict(config)
-        config["seeds"] = tuple(int(s) for s in config["seeds"])
-    return ExperimentSpec(**config)
+    """Build a spec from a config mapping; a malformed config is a ConfigError."""
+    try:
+        known = set(ExperimentSpec.__dataclass_fields__)
+        unknown = set(config) - known
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "seeds" in config:
+            config = dict(config)
+            config["seeds"] = tuple(int(s) for s in config["seeds"])
+        return ExperimentSpec(**config)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
 
 
 def build_env(spec: ExperimentSpec) -> EnvironmentModel:
@@ -214,17 +220,25 @@ def load_reference(ref_dir: Path) -> ReferenceSolution:
     )
 
 
+def _solved_for(ref_dir: Path, env: EnvironmentModel) -> bool:
+    """Whether the reference in ref_dir was solved for this environment."""
+    meta = json.loads((ref_dir / "meta.json").read_text(encoding="utf-8"))
+    return meta["env"] == env.name and meta["n_states"] == env.n_states
+
+
 def ensure_reference(
     spec: ExperimentSpec, env: EnvironmentModel, out_dir: Path
 ) -> ReferenceSolution:
-    """Load the cached reference if configured, else compute and cache one."""
+    """Load the configured reference, else the one cached for this
+    environment under the output dir, else compute and cache one."""
     if spec.reference is not None:
-        return load_reference(Path(spec.reference))
+        ref_dir = Path(spec.reference)
+        if not _solved_for(ref_dir, env):
+            raise ConfigError(f"reference {ref_dir} was not solved for {env.name}")
+        return load_reference(ref_dir)
     ref_dir = out_dir / "reference"
-    if (ref_dir / "meta.json").exists():
-        ref = load_reference(ref_dir)
-        if ref.mu_star.shape[0] == env.n_states:
-            return ref
+    if (ref_dir / "meta.json").exists() and _solved_for(ref_dir, env):
+        return load_reference(ref_dir)
     ref = model_based_fpi_fp(env, outer_iters=spec.reference_outer_iters)
     write_reference(ref_dir, env, ref)
     return ref
@@ -308,10 +322,6 @@ def cmd_run(spec: ExperimentSpec) -> Path:
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = ensure_reference(spec, env, out_dir)
-    if ref.mu_star.shape[0] != env.n_states:
-        raise ConfigError(
-            f"reference grid ({ref.mu_star.shape[0]}) does not match env ({env.n_states})"
-        )
     records = []
     for seed in spec.effective_seeds:
         record = _run_one(spec, env, seed, ref.mu_star)
@@ -514,7 +524,7 @@ def main(argv=None) -> int:
         else:
             d2_list = _int_list(args.d2_list) if args.d2_list else [5, 20]
             out = cmd_compare_lfa(spec, d2_list)
-    except (ConfigError, NetworkLoadError, BasisError, TypeError) as exc:
+    except (ConfigError, NetworkLoadError, BasisError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (MetricsError, FloatingPointError) as exc:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mfglearn import cli
 from mfglearn.cli import (
     ExperimentSpec,
     cmd_reference,
@@ -105,6 +106,29 @@ def test_cmd_run_reuses_cached_reference(tmp_path):
     assert not (out / "reference").exists()
 
 
+def test_cached_reference_of_another_env_is_recomputed(tmp_path):
+    # ring-road-50 and flocking-50 have the same number of states
+    common = dict(steps=200, seeds=(0,), cadence=100, expl_every=None,
+                  reference_outer_iters=5)
+    cmd_reference(ExperimentSpec(env="ring-road", out=str(tmp_path / "shared" / "reference"),
+                                 **common))
+    shared = cmd_run(ExperimentSpec(env="flocking", out=str(tmp_path / "shared"), **common))
+    fresh = cmd_run(ExperimentSpec(env="flocking", out=str(tmp_path / "fresh"), **common))
+    meta = json.loads(read(shared / "reference" / "meta.json"))
+    assert meta["env"] == "flocking-50"
+    assert read(shared / "run_seed0.csv") == read(fresh / "run_seed0.csv")
+
+
+def test_explicit_reference_of_another_env_is_a_config_error(tmp_path):
+    ref_dir = cmd_reference(toy_spec(tmp_path / "ref"))
+    with pytest.raises(ConfigError, match="toy-3x2-seed8"):
+        cmd_run(toy_spec(tmp_path / "run", reference=str(ref_dir), toy_seed=8))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reference": str(ref_dir), "toy_seed": 8}))
+    assert main(["run", "--env", "toy", "--config", str(config),
+                 "--out", str(tmp_path / "cli")]) == 2
+
+
 def test_cmd_sweep_k_k1_row_matches_semisgd_final(tmp_path):
     run_out = cmd_run(toy_spec(tmp_path / "run"))
     sweep_out = cmd_sweep_k(toy_spec(tmp_path / "sweep"), [1, 20])
@@ -144,6 +168,20 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["sweep-k", "--config", str(config), "--k-list", ""]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 4
+
+    malformed = tmp_path / "malformed.json"
+    for seeds in (5, ["x"]):
+        malformed.write_text(json.dumps({"env": "toy", "seeds": seeds}))
+        assert main(["run", "--config", str(malformed)]) == 2
+
+
+def test_main_type_error_in_subcommand_is_a_traceback(tmp_path, monkeypatch):
+    def broken(spec):
+        raise TypeError("program bug")
+
+    monkeypatch.setattr(cli, "cmd_run", broken)
+    with pytest.raises(TypeError, match="program bug"):
+        main(["run", "--env", "toy", "--out", str(tmp_path / "out")])
 
 
 def test_main_flag_overrides(tmp_path):

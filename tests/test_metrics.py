@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from mfglearn.core import ActionSpace, StateSpace, UnifiedParameter
-from mfglearn.envs import EnvironmentModel, toy_finite_env
+from mfglearn.envs import (
+    EnvironmentModel,
+    flocking_env,
+    ring_road_env,
+    sioux_falls_env,
+    toy_finite_env,
+)
 from mfglearn.lfa import (
     one_hot_feature_map,
     one_hot_measure_basis,
@@ -11,6 +17,8 @@ from mfglearn.lfa import (
 from mfglearn.metrics import (
     MetricSnapshot,
     MetricsError,
+    _expected_next,
+    default_max_iters,
     exploitability,
     induced_population,
     mean_path_semigradient,
@@ -178,6 +186,77 @@ def test_value_iteration_strict_raises_with_residual():
     with pytest.raises(MetricsError) as err:
         value_iteration(env, env.initial_state, tol=1e-12, max_iters=2)
     assert np.isfinite(err.value.residual)
+
+
+SHIPPED_ENVS = {
+    "ring-road-50": lambda: ring_road_env(50),
+    "ring-road-200": lambda: ring_road_env(200),
+    "flocking-50": lambda: flocking_env(50),
+    "sioux-falls": sioux_falls_env,
+    "toy-3x2-seed7": lambda: toy_finite_env(3, 2, seed=7),
+}
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def seed_value_iteration(env, mu, tol=1e-10):
+    """Value iteration with the expectation as a trailing-axis numpy sum."""
+    r = env.reward_matrix(mu)
+    idx, probs = env.kernel_support(mu)
+    mask = None
+    if env.actions.feasible is not None:
+        mask = np.zeros((env.n_states, env.n_actions), dtype=bool)
+        for s, feas in enumerate(env.actions.feasible):
+            mask[s, feas] = True
+    v = np.zeros(env.n_states)
+    for _ in range(default_max_iters(env.gamma, tol, env.reward_bound)):
+        q = r + env.gamma * (probs * v[idx]).sum(axis=-1)
+        v_next = q.max(axis=1) if mask is None else np.where(mask, q, -np.inf).max(axis=1)
+        residual = float(np.abs(v_next - v).max())
+        v = v_next
+        if residual < tol:
+            break
+    return v, q
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_ENVS))
+def test_expected_next_bit_identical_to_trailing_sum(name):
+    env = SHIPPED_ENVS[name]()
+    rng = np.random.default_rng(3)
+    mu = rng.dirichlet(np.ones(env.n_states))
+    idx, probs = env.kernel_support(mu)
+    n = env.n_states
+    for v in (
+        *(rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n) for _ in range(10)),
+        np.full(n, -0.0),
+        np.where(rng.random(n) < 0.5, -0.0, 0.0),
+    ):
+        np.testing.assert_array_equal(
+            bits(_expected_next(idx, probs, v)), bits((probs * v[idx]).sum(axis=-1))
+        )
+
+
+@pytest.mark.parametrize("name", ["flocking-50", "ring-road-50", "sioux-falls", "toy-3x2-seed7"])
+def test_value_iteration_bit_identical_to_trailing_sum_sweeps(name):
+    env = SHIPPED_ENVS[name]()
+    mu = np.random.default_rng(5).dirichlet(np.ones(env.n_states))
+    v, q, _ = value_iteration(env, mu, strict=False)
+    v_seed, q_seed = seed_value_iteration(env, mu)
+    np.testing.assert_array_equal(bits(v), bits(v_seed))
+    np.testing.assert_array_equal(bits(q), bits(q_seed))
+
+
+def test_expected_next_wide_support_agrees_to_rounding():
+    # numpy sums 8 or more terms pairwise, so only rounding-level agreement
+    rng = np.random.default_rng(11)
+    probs = rng.dirichlet(np.ones(9), size=(4, 3))
+    idx = rng.integers(0, 6, size=(4, 3, 9))
+    v = rng.standard_normal(6)
+    np.testing.assert_allclose(
+        _expected_next(idx, probs, v), (probs * v[idx]).sum(axis=-1), rtol=1e-14, atol=1e-15
+    )
 
 
 def test_policy_evaluation_consistency_with_value_iteration(toy_env):
