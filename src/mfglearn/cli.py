@@ -343,19 +343,27 @@ def cmd_run(spec: ExperimentSpec) -> Path:
 
 
 def cmd_sweep_k(spec: ExperimentSpec, k_list: List[int]) -> Path:
-    """Fixed total budget, one aggregate row of final metrics per K."""
+    """Fixed total budget, one aggregate row of final metrics per K.
+
+    Only the final exploitability of each run reaches ``sweep_k.csv``, and
+    only when T is a multiple of ``expl_every``; each run then computes it
+    at t = 0 and t = T alone (``expl_every = T``), and otherwise not at all.
+    """
     if not k_list:
         raise ConfigError("sweep-k needs a non-empty K list")
+    for k in k_list:
+        if k < 1 or k > spec.steps:
+            raise ConfigError(f"inner K = {k} must lie in [1, T = {spec.steps}]")
     if spec.algorithm == "semisgd":
         spec = replace(spec, algorithm="fpi-vanilla")
+    written = bool(spec.expl_every) and spec.steps % spec.expl_every == 0
+    spec = replace(spec, expl_every=spec.steps if written else None)
     env = build_env(spec)
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = ensure_reference(spec, env, out_dir)
     rows = []
     for k in k_list:
-        if k < 1 or k > spec.steps:
-            raise ConfigError(f"inner K = {k} must lie in [1, T = {spec.steps}]")
         k_spec = replace(spec, inner_k=int(k))
         finals, expls = [], []
         for seed in spec.effective_seeds:
@@ -387,17 +395,22 @@ def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
     For each d2, runs SemiSGD (a) on the ring road coarsened to d2 cells and
     (b) on the reference-granularity ring road with a d2-dimensional
     tan-normal measure basis; final MSE is measured against the
-    reference-grid equilibrium in both arms.
+    reference-grid equilibrium in both arms.  ``compare_lfa.csv`` has no
+    exploitability column, so the runs compute none (``expl_every = None``).
     """
     if not d2_list:
         raise ConfigError("compare-lfa needs a non-empty d2 list")
     if spec.env != "ring-road":
         raise ConfigError("compare-lfa is defined on the ring-road environment")
+    for d2 in d2_list:
+        if not (1 <= d2 <= COMPARE_LFA_GRID):
+            raise ConfigError(f"d2 = {d2} must lie in [1, {COMPARE_LFA_GRID}]")
     spec = replace(
         spec,
         algorithm="semisgd",
         env_size=COMPARE_LFA_GRID,
         steps=min(spec.steps, COMPARE_LFA_STEPS),
+        expl_every=None,
     )
     env_fine = build_env(spec)
     out_dir = Path(spec.out)
@@ -405,8 +418,6 @@ def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
     ref = ensure_reference(spec, env_fine, out_dir)
     rows = []
     for d2 in d2_list:
-        if not (1 <= d2 <= COMPARE_LFA_GRID):
-            raise ConfigError(f"d2 = {d2} must lie in [1, {COMPARE_LFA_GRID}]")
         # (a) grid discretization: plain tabular run on the coarsened game
         env_coarse = ring_road_env(int(d2))
         ref_map = resample_masses(int(d2), COMPARE_LFA_GRID)

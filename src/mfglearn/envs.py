@@ -433,9 +433,9 @@ def toy_finite_env(
 
     def sample_next(s, a, mu, rng_):
         row = (1.0 - eps) * p0[s, a] + eps * mu
-        cdf = np.cumsum(row)
+        cdf = row.cumsum()
         u = rng_.random()
-        idx = int(np.searchsorted(cdf, u, side="right"))
+        idx = int(cdf.searchsorted(u, side="right"))
         return min(idx, n_states - 1)
 
     idx_cache = np.broadcast_to(

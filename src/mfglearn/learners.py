@@ -180,16 +180,28 @@ class _OnlineRun:
 
     @staticmethod
     def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
-        cdf = np.cumsum(dist)
-        idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+        cdf = dist.cumsum()
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
         return min(idx, dist.shape[0] - 1)
 
-    def _draw_action(self, q2d: np.ndarray, s: int, rng: np.random.Generator) -> int:
+    def _policy_row(self, q2d: np.ndarray, s: int) -> np.ndarray:
         if self.feasible is None:
-            return sample_action(policy_row(self.pol, q2d[s]), rng)
-        feas = self.feasible[s]
-        j = sample_action(policy_row(self.pol, q2d[s, feas]), rng)
-        return int(feas[j])
+            return policy_row(self.pol, q2d[s])
+        return policy_row(self.pol, q2d[s, self.feasible[s]])
+
+    def _draw_action(
+        self, q2d: np.ndarray, s: int, rng: np.random.Generator, rows: Optional[dict] = None
+    ) -> int:
+        """On-policy action at s.  ``rows`` caches policy rows by state and
+        is only valid while ``q2d`` does not change."""
+        if rows is None:
+            row = self._policy_row(q2d, s)
+        else:
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = self._policy_row(q2d, s)
+        j = sample_action(row, rng)
+        return j if self.feasible is None else int(self.feasible[s][j])
 
     def represent(self) -> np.ndarray:
         if self.tabular_m:
@@ -198,19 +210,20 @@ class _OnlineRun:
 
     # -- chain and updates ----------------------------------------------
 
-    def chain_step(self, q2d_policy: np.ndarray):
+    def chain_step(self, q2d_policy: np.ndarray, rows: Optional[dict] = None):
         """Advance the chain one transition; the chain is never reset.
 
         The next action is drawn from the supplied Q table (the current one
-        for SemiSGD, the frozen one inside an FPI pass).  Returns the
-        observation (s, a, r, s_next, a_next).
+        for SemiSGD, the frozen one inside an FPI pass, with that pass's
+        policy-row cache ``rows``).  Returns the observation
+        (s, a, r, s_next, a_next).
         """
         env = self.env
         m = self.represent()
         s, a = self.s, self.a
         r = env.reward(s, a, m)
         s_next = env.sample_next(s, a, m, self.rng)
-        a_next = self._draw_action(q2d_policy, s_next, self.rng)
+        a_next = self._draw_action(q2d_policy, s_next, self.rng, rows)
         self.s, self.a = s_next, a_next
         self.t += 1
         return s, a, r, s_next, a_next
@@ -426,6 +439,12 @@ def run_online_fpi(
     damps the population toward its history after the forward pass, MD
     damps Q after the backward pass, and ER runs with the softmax inverse
     temperature divided by 1e5.
+
+    Each forward pass computes the policy row of a visited state once, by
+    the same ``policy_row`` call on the same frozen Q row, and reuses it for
+    later draws there; the rows are dropped before the backward pass, so
+    every draw and every bit of the trajectory are unchanged.  Step sizes
+    are likewise computed once and replayed in the backward pass.
     """
     if variant is None:
         if not cfg.algorithm.startswith("fpi-"):
@@ -460,30 +479,33 @@ def run_online_fpi(
     obs_r = np.empty(k)
     obs_sn = np.empty(k, dtype=int)
     obs_an = np.empty(k, dtype=int)
+    obs_alpha = np.empty(k)
 
     outer = 0
     while run.t < total:
         k_eff = min(k, total - run.t)
         frozen_q = run.q_table_now().copy()
+        rows = {}  # policy rows of frozen_q, for this forward pass only
         base_t = run.t
         # forward pass: population updates along the live chain
         for i in range(k_eff):
             alpha = step_size(schedule, base_t + i)
-            s, a, r, s_next, a_next = run.chain_step(frozen_q)
+            s, a, r, s_next, a_next = run.chain_step(frozen_q, rows)
             run.update_eta(s_next, alpha)
             obs_s[i], obs_a[i], obs_r[i] = s, a, r
             obs_sn[i], obs_an[i] = s_next, a_next
+            obs_alpha[i] = alpha
             if run.t != total:
                 rec.maybe_snapshot(run.t)
+        del rows
         if variant == "fp":
             run.eta = fp_mix(eta_hist, run.eta, step_size(schedule, outer))
             eta_hist = run.eta.copy()
         # backward pass: replay the same observations for the value update
         for i in range(k_eff):
-            alpha = step_size(schedule, base_t + i)
             run.update_theta(
                 int(obs_s[i]), int(obs_a[i]), float(obs_r[i]),
-                int(obs_sn[i]), int(obs_an[i]), alpha,
+                int(obs_sn[i]), int(obs_an[i]), float(obs_alpha[i]),
             )
         if variant == "md":
             run.theta = md_mix(theta_hist, run.theta, step_size(schedule, outer))

@@ -73,9 +73,9 @@ def apply_policy(
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF sample over action indices in increasing order."""
-    cdf = np.cumsum(dist)
+    cdf = dist.cumsum()
     u = rng.random()
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    idx = int(cdf.searchsorted(u, side="right"))
     if idx >= dist.shape[0]:
         idx = dist.shape[0] - 1
     if dist[idx] == 0.0:  # guard against u landing past the float total mass

@@ -10,3 +10,43 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_tracer_spans_cover_the_current_program(tmp_path):
+    # the tracer patches module attributes by name; a renamed one must fail here
+    import importlib
+    import importlib.util
+    import types
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = ("cli", "envs", "learners", "lfa", "metrics", "policy")
+    mfg = types.SimpleNamespace(**{n: importlib.import_module(f"mfglearn.{n}") for n in names})
+    originals = {n: getattr(mfg.learners, n) for n in ("policy_row", "sample_action", "step_size")}
+
+    tracer = tracing.Tracer()
+    seeds, steps = 2, 200
+    try:
+        tracing.install_timers(tracer, mfg)
+        tracing.install_layers(tracer, mfg)
+        for algo in ("semisgd", "fpi"):
+            code = mfg.cli.main([
+                "run", "--env", "toy", "--algo", algo, "--inner-k", "10",
+                "--steps", str(steps), "--seeds", "0,1", "--no-exploitability",
+                "--out", str(tmp_path / algo),
+            ])
+            assert code == 0
+    finally:
+        tracer.uninstall()
+    assert {n: getattr(mfg.learners, n) for n in originals} == originals
+
+    counts = tracer.take_counts()
+    assert counts["learners.samples"] == 2 * seeds * steps
+    layers = tracing.layer_metrics(tracer, 0, tracer.mark(), counts, 1)
+    assert layers["learners.samples"] == 2 * seeds * steps
+    assert layers["envs.reward.calls"] == 2 * seeds * steps
+    assert layers["learners.step_size.calls"] == 2 * seeds * steps
+    assert layers["policy.policy_row.calls"] > 0
+    assert layers["policy.sample_action.us"] > 0
+    assert layers["learners.sample.us"] > 0

@@ -272,3 +272,84 @@ def test_tan_normal_basis_rejected_for_graph_envs(tmp_path):
                                   "expl_every": None, "reference_outer_iters": 20,
                                   "out": str(tmp_path / "o")}))
     assert main(["run", "--config", str(config)]) == 2
+
+
+def _counting(monkeypatch, module, name, log):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        log.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_k_computes_exploitability_only_where_written(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from mfglearn import learners
+    from mfglearn.cli import _fmt, _std, build_env, make_run_config
+    from mfglearn.learners import run_online_fpi
+
+    ref_dir = cmd_reference(toy_spec(tmp_path / "ref"))
+    spec = toy_spec(tmp_path / "sweep", expl_every=100, reference=str(ref_dir))
+    env = build_env(spec)
+    mu_ref = load_reference(ref_dir).mu_star
+    k_list = [1, 20]
+    # the final exploitability of runs snapshotting every expl_every steps
+    want = []
+    for k in k_list:
+        k_spec = replace(spec, algorithm="fpi-vanilla", inner_k=k)
+        finals = np.array([
+            run_online_fpi(env, make_run_config(k_spec, env, seed), mu_ref=mu_ref).expl_values[-1]
+            for seed in spec.effective_seeds
+        ])
+        want.append([_fmt(finals.mean()), _fmt(_std(finals))])
+
+    expl_calls, records = [], []
+    _counting(monkeypatch, learners, "_exploitability_at", expl_calls)
+    _counting(monkeypatch, cli, "run_online_fpi", records)
+    out = cmd_sweep_k(spec, k_list)
+    assert len(records) == len(k_list) * len(spec.effective_seeds)
+    assert all(r.expl_steps.tolist() == [0, spec.steps] for r in records)
+    assert len(expl_calls) == 2 * len(records)
+    rows = [line.split(",") for line in read(out / "sweep_k.csv").splitlines()[1:]]
+    assert [row[3:] for row in rows] == want
+
+    # T = 400 is not a multiple of 300: the field stays blank, nothing is computed
+    expl_calls.clear()
+    out = cmd_sweep_k(replace(spec, expl_every=300, out=str(tmp_path / "blank")), k_list)
+    assert expl_calls == []
+    for line in read(out / "sweep_k.csv").splitlines()[1:]:
+        assert line.endswith(",,")
+
+
+def test_compare_lfa_computes_no_exploitability(tmp_path, monkeypatch, ring200_reference_dir):
+    from mfglearn import learners
+    from mfglearn.cli import cmd_compare_lfa
+
+    expl_calls, records = [], []
+    _counting(monkeypatch, learners, "_exploitability_at", expl_calls)
+    _counting(monkeypatch, cli, "run_semisgd", records)
+    spec = ExperimentSpec(env="ring-road", steps=200, alpha=1e-3, seeds=(0,), cadence=100,
+                          expl_every=100, reference=str(ring200_reference_dir),
+                          out=str(tmp_path / "lfa"))
+    cmd_compare_lfa(spec, [5])
+    assert len(records) == 2
+    assert all(r.expl_steps is None for r in records)
+    assert expl_calls == []
+
+
+@pytest.mark.parametrize("argv,runner", [
+    (["sweep-k", "--env", "toy", "--k-list", "1,0"], "run_online_fpi"),
+    (["sweep-k", "--env", "toy", "--k-list", "1,1000"], "run_online_fpi"),
+    (["compare-lfa", "--env", "ring-road", "--d2-list", "5,0"], "run_semisgd"),
+])
+def test_sweep_lists_are_validated_before_the_first_run(tmp_path, monkeypatch, argv, runner):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the list was validated")
+
+    monkeypatch.setattr(cli, runner, never)
+    monkeypatch.setattr(cli, "ensure_reference", never)
+    assert main([*argv, "--steps", "100", "--out", str(tmp_path / "out")]) == 2

@@ -272,3 +272,89 @@ def test_model_based_fpi_fp_determinism(toy_env):
     np.testing.assert_array_equal(a.mu_star, b.mu_star)
     np.testing.assert_array_equal(a.q_star, b.q_star)
     np.testing.assert_array_equal(a.expl_trace, b.expl_trace)
+
+
+# -- FPI policy-row cache -------------------------------------------------------
+
+
+def _uncached_fpi_trace(env, cfg, variant):
+    """run_online_fpi's loop without its per-pass row cache: every draw
+    computes its policy row, and the backward pass recomputes step sizes."""
+    from mfglearn import learners
+    from mfglearn.policy import softmax_operator
+
+    phi, basis, pol = learners._defaults(env, cfg, None, None, None)
+    if variant == "er":
+        pol = softmax_operator(pol.inverse_temperature / learners.ER_TEMPERATURE_DIVISOR)
+    run = learners._OnlineRun(env, phi, basis, pol, cfg.gamma, cfg.ball_radius)
+    run.init_from_seed(cfg.seed)
+    eta_hist, theta_hist = run.eta.copy(), run.theta.copy()
+    trace = []
+    outer = 0
+    while run.t < cfg.total_steps:
+        k_eff = min(cfg.inner_k, cfg.total_steps - run.t)
+        frozen_q = run.q_table_now().copy()
+        base_t = run.t
+        obs = []
+        for i in range(k_eff):
+            obs.append(run.chain_step(frozen_q))
+            run.update_eta(obs[-1][3], step_size(cfg.schedule, base_t + i))
+        if variant == "fp":
+            run.eta = fp_mix(eta_hist, run.eta, step_size(cfg.schedule, outer))
+            eta_hist = run.eta.copy()
+        for i, ob in enumerate(obs):
+            run.update_theta(*ob, step_size(cfg.schedule, base_t + i))
+        if variant == "md":
+            run.theta = md_mix(theta_hist, run.theta, step_size(cfg.schedule, outer))
+            run._bind_theta_view()
+            theta_hist = run.theta.copy()
+        trace.append(run.parameter())
+        outer += 1
+    return trace
+
+
+@pytest.mark.parametrize("env_tag,steps", [
+    ("toy", 400), ("ring-road", 300), ("sioux-falls", 300),
+])
+def test_run_online_fpi_row_cache_is_bit_identical(env_tag, steps):
+    from mfglearn.cli import DEFAULT_INVERSE_TEMPERATURE, default_ball_radius
+    from mfglearn.envs import ring_road_env, sioux_falls_env
+
+    env = {
+        "toy": lambda: toy_finite_env(3, 2, seed=7),
+        "ring-road": lambda: ring_road_env(50),
+        "sioux-falls": sioux_falls_env,
+    }[env_tag]()
+    beta = DEFAULT_INVERSE_TEMPERATURE[env_tag]
+    for variant in ("vanilla", "fp", "md", "er"):
+        for k in (1, 2, 10, 100):
+            cfg = RunConfig(
+                total_steps=steps,
+                schedule=StepSizeSchedule("constant", 0.05),
+                gamma=env.gamma,
+                inverse_temperature=beta,
+                ball_radius=default_ball_radius(env),
+                seed=k,
+                inner_k=k,
+                algorithm=f"fpi-{variant}",
+                cadence=100,
+                expl_every=None,
+            )
+            got = run_online_fpi(env, cfg, record_params=True).param_trace
+            want = _uncached_fpi_trace(env, cfg, variant)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.theta.tobytes() == w.theta.tobytes(), (variant, k)
+                assert g.eta.tobytes() == w.eta.tobytes(), (variant, k)
+
+
+def test_run_online_fpi_computes_one_row_per_visited_state_per_pass(toy_env, monkeypatch):
+    from mfglearn import learners
+
+    calls = []
+    original = learners.policy_row
+    monkeypatch.setattr(learners, "policy_row", lambda op, q_row: calls.append(1) or original(op, q_row))
+    cfg = small_cfg(toy_env, steps=1000, algorithm="fpi-vanilla", inner_k=100)
+    run_online_fpi(toy_env, cfg)
+    # the initial draw, then at most one row per state in each of 10 passes
+    assert 1 + 10 <= len(calls) <= 1 + 10 * toy_env.n_states
