@@ -47,7 +47,6 @@ from .lfa import (
     tan_normal_basis,
 )
 from .metrics import (
-    MetricSnapshot,
     MetricsError,
     exploitability,
     induced_population,
@@ -59,7 +58,6 @@ from .metrics import (
 )
 from .policy import (
     PolicyOperator,
-    apply_policy,
     argmax_operator,
     policy_matrix,
     sample_action,

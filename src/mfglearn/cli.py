@@ -190,6 +190,8 @@ def write_reference(out_dir: Path, env: EnvironmentModel, ref: ReferenceSolution
         "n_actions": env.n_actions,
         "iterations": int(ref.iterations),
         "final_exploitability": float(ref.final_exploitability),
+        "outer_iters": int(ref.outer_iters),
+        "converged": bool(ref.converged),
     }
     (out_dir / "meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
@@ -215,31 +217,43 @@ def load_reference(ref_dir: Path) -> ReferenceSolution:
         mu_star=mu,
         iterations=meta["iterations"],
         final_exploitability=meta["final_exploitability"],
+        outer_iters=meta["outer_iters"],
+        converged=meta["converged"],
         expl_iterations=np.array(iters, dtype=int),
         expl_trace=np.array(vals),
     )
 
 
-def _solved_for(ref_dir: Path, env: EnvironmentModel) -> bool:
-    """Whether the reference in ref_dir was solved for this environment."""
+def _solved_for(ref_dir: Path, env: EnvironmentModel, outer_iters: int) -> bool:
+    """Whether the reference in ref_dir was solved for this environment
+    with this outer-iteration budget; a meta.json without one was not."""
     meta = json.loads((ref_dir / "meta.json").read_text(encoding="utf-8"))
-    return meta["env"] == env.name and meta["n_states"] == env.n_states
+    return (
+        meta["env"] == env.name
+        and meta["n_states"] == env.n_states
+        and meta.get("outer_iters") == outer_iters
+    )
 
 
 def ensure_reference(
     spec: ExperimentSpec, env: EnvironmentModel, out_dir: Path
 ) -> ReferenceSolution:
     """Load the configured reference, else the one cached for this
-    environment under the output dir, else compute and cache one."""
+    environment and ``reference_outer_iters`` under the output dir, else
+    compute and cache one."""
+    outer_iters = spec.reference_outer_iters
     if spec.reference is not None:
         ref_dir = Path(spec.reference)
-        if not _solved_for(ref_dir, env):
-            raise ConfigError(f"reference {ref_dir} was not solved for {env.name}")
+        if not _solved_for(ref_dir, env, outer_iters):
+            raise ConfigError(
+                f"reference {ref_dir} was not solved for {env.name} "
+                f"with reference_outer_iters = {outer_iters}"
+            )
         return load_reference(ref_dir)
     ref_dir = out_dir / "reference"
-    if (ref_dir / "meta.json").exists() and _solved_for(ref_dir, env):
+    if (ref_dir / "meta.json").exists() and _solved_for(ref_dir, env, outer_iters):
         return load_reference(ref_dir)
-    ref = model_based_fpi_fp(env, outer_iters=spec.reference_outer_iters)
+    ref = model_based_fpi_fp(env, outer_iters=outer_iters)
     write_reference(ref_dir, env, ref)
     return ref
 

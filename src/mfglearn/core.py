@@ -78,11 +78,6 @@ class ActionSpace:
             return np.arange(self.size)
         return self.feasible[s]
 
-    def is_feasible(self, s: int, a: int) -> bool:
-        if self.feasible is None:
-            return 0 <= a < self.size
-        return a in self.feasible[s]
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -118,9 +113,6 @@ class UnifiedParameter:
     @property
     def d2(self) -> int:
         return self.eta.shape[0]
-
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate([self.theta, self.eta])
 
 
 @dataclass(frozen=True)
@@ -196,10 +188,3 @@ def validate_parameter(xi: UnifiedParameter, cfg: RunConfig) -> bool:
     norm = float(np.linalg.norm(xi.theta))
     limit = cfg.ball_radius * (1.0 + _BALL_SLACK)
     return norm <= limit
-
-
-def observation_valid(obs: Observation, states: StateSpace, actions: ActionSpace) -> bool:
-    """True iff indices are in range and actions are feasible at their states."""
-    if not (0 <= obs.s < states.size and 0 <= obs.s_next < states.size):
-        return False
-    return actions.is_feasible(obs.s, obs.a) and actions.is_feasible(obs.s_next, obs.a_next)

@@ -2,10 +2,11 @@
 unit interval, routing on a 24-node road network, and a small synthetic
 finite game for tests and stationarity checks.
 
-Every environment exposes sampled transitions, a scalar and a vectorized
-reward, and exact transition-kernel access (dense rows via ``exact_kernel``
-and a bulk sparse form via ``kernel_support``) for the model-based solver
-and the exploitability metric.
+Every environment defines its transition kernel once, as the sparse
+``kernel_support(mu)`` arrays, and derives everything else from them: the
+per-sample ``sample_next`` is an inverse-CDF draw over the (s, a) support
+row, and the model-based solver and the exploitability metric read the
+arrays directly.  Rewards come in a scalar and a vectorized form.
 
 Grid dynamics: the continuous move s' = s + a*dt (mod 1) is mapped back to
 the grid by stochastic rounding of the displacement in cells, which keeps
@@ -35,7 +36,11 @@ class EnvironmentModel:
     ``reward`` and ``sample_next`` take the population as a per-cell mass
     vector.  ``kernel_support(mu)`` returns ``(idx, probs)`` of shape
     (S, A, m): the m possible successors of each state-action pair and
-    their probabilities.
+    their probabilities.  It is the only transition kernel an environment
+    defines: ``sample_next`` is ``_support_sampler(kernel_support)``, which
+    walks the support row in its stored order, so the order of the m
+    successors fixes which successor each uniform draw selects.  A support
+    with m = 1 is deterministic and its draw consumes no random number.
     """
 
     name: str
@@ -45,7 +50,6 @@ class EnvironmentModel:
     reward: Callable[[int, int, np.ndarray], float]
     reward_matrix: Callable[[np.ndarray], np.ndarray]
     sample_next: Callable[[int, int, np.ndarray, np.random.Generator], int]
-    exact_kernel: Callable[[int, int, np.ndarray], np.ndarray]
     kernel_support: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     initial_state: np.ndarray
     reward_bound: float
@@ -61,45 +65,54 @@ class EnvironmentModel:
         return self.actions.size
 
 
-def _grid_shift_table(size: int, delta_a: float, delta_t: float, delta_s: float):
-    """Per-action (base shift, fractional carry) for stochastic rounding."""
-    disp = np.arange(size) * delta_a * delta_t / delta_s
-    lo = np.floor(disp).astype(np.int64)
-    frac = disp - lo
-    return lo, frac
+def _support_sampler(kernel_support):
+    """``sample_next`` drawn by inverse CDF over ``kernel_support``.
 
-
-def _grid_kernel_support(size: int, lo: np.ndarray, frac: np.ndarray):
-    """Sparse (S, A, 2) kernel arrays for a wrap-around shift grid."""
-    s = np.arange(size)[:, None]
-    idx0 = (s + lo[None, :]) % size
-    idx1 = (s + lo[None, :] + 1) % size
-    idx = np.stack([idx0, idx1], axis=-1)
-    p1 = np.broadcast_to(frac[None, :], (size, size))
-    probs = np.stack([1.0 - p1, p1], axis=-1)
-    return idx, probs
-
-
-def _grid_transition_fns(size: int, lo: np.ndarray, frac: np.ndarray):
-    """sample_next / exact_kernel / kernel_support closures for shift grids."""
-    idx_cache, prob_cache = _grid_kernel_support(size, lo, frac)
+    Returns the first successor of (s, a) whose running sum of support
+    probabilities exceeds one uniform draw, else the last one.  The running
+    sum adds the probabilities in support order, exactly as ``cumsum``
+    does.  A support with one successor returns it without drawing.
+    """
 
     def sample_next(s, a, mu, rng):
-        shift = lo[a]
-        if rng.random() < frac[a]:
-            shift += 1
-        return (s + shift) % size
+        idx, probs = kernel_support(mu)
+        last = idx.shape[2] - 1
+        if last == 0:
+            return idx.item(s, a, 0)
+        u = rng.random()
+        j = 0
+        acc = probs.item(s, a, 0)
+        while u >= acc and j < last:
+            j += 1
+            acc += probs.item(s, a, j)
+        return idx.item(s, a, j)
 
-    def exact_kernel(s, a, mu):
-        row = np.zeros(size)
-        row[(s + lo[a]) % size] += 1.0 - frac[a]
-        row[(s + lo[a] + 1) % size] += frac[a]
-        return row
+    return sample_next
+
+
+def _grid_kernel_support(size: int, delta: float):
+    """``kernel_support`` of a wrap-around shift grid, (S, A, 2) arrays.
+
+    Action a moves a*delta cells per step of length delta, rounded
+    stochastically: the successors are ordered [+1 cell, base shift] with
+    probabilities [frac, 1 - frac], so a draw u < frac moves one cell
+    further.
+    """
+    # cells moved: speed a*delta times dt = delta over cells of width delta
+    disp = np.arange(size) * delta * delta / delta
+    lo = np.floor(disp).astype(np.int64)
+    frac = disp - lo
+    s = np.arange(size)[:, None]
+    base = (s + lo[None, :]) % size
+    carry = (s + lo[None, :] + 1) % size
+    idx = np.stack([carry, base], axis=-1)
+    p1 = np.broadcast_to(frac[None, :], (size, size))
+    probs = np.stack([p1, 1.0 - p1], axis=-1)
 
     def kernel_support(mu):
-        return idx_cache, prob_cache
+        return idx, probs
 
-    return sample_next, exact_kernel, kernel_support
+    return kernel_support
 
 
 def ring_road_env(size: int = 50) -> EnvironmentModel:
@@ -123,8 +136,7 @@ def ring_road_env(size: int = 50) -> EnvironmentModel:
     mu_jam = 3.0 / size
     gamma = 1.0 - delta
 
-    lo, frac = _grid_shift_table(size, delta, delta, delta)
-    sample_next, exact_kernel, kernel_support = _grid_transition_fns(size, lo, frac)
+    kernel_support = _grid_kernel_support(size, delta)
 
     def reward(s, a, mu):
         bracket = b[s] + 0.5 * (1.0 - mu[s] / mu_jam) - a_vals[a]
@@ -149,8 +161,7 @@ def ring_road_env(size: int = 50) -> EnvironmentModel:
         gamma=gamma,
         reward=reward,
         reward_matrix=reward_matrix,
-        sample_next=sample_next,
-        exact_kernel=exact_kernel,
+        sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
         initial_state=np.full(size, 1.0 / size),
         reward_bound=bound,
@@ -204,8 +215,7 @@ def flocking_env(
     win_lo = np.maximum(0, np.arange(size) - half)
     win_hi = np.minimum(size - 1, np.arange(size) + half)
 
-    lo, frac = _grid_shift_table(size, delta, delta, delta)
-    sample_next, exact_kernel, kernel_support = _grid_transition_fns(size, lo, frac)
+    kernel_support = _grid_kernel_support(size, delta)
 
     def _neighbor_all(mu):
         cs_mass = np.concatenate([[0.0], np.cumsum(mu)])
@@ -236,8 +246,7 @@ def flocking_env(
         gamma=gamma,
         reward=reward,
         reward_matrix=reward_matrix,
-        sample_next=sample_next,
-        exact_kernel=exact_kernel,
+        sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
         initial_state=np.full(size, 1.0 / size),
         reward_bound=bound,
@@ -348,14 +357,6 @@ def sioux_falls_env(path=None) -> EnvironmentModel:
     idx_cache = np.broadcast_to(np.arange(n_e)[None, :, None], (n_e, n_e, 1))
     prob_cache = np.ones((n_e, n_e, 1))
 
-    def sample_next(s, a, mu, rng):
-        return a
-
-    def exact_kernel(s, a, mu):
-        row = np.zeros(n_e)
-        row[a] = 1.0
-        return row
-
     def kernel_support(mu):
         return idx_cache, prob_cache
 
@@ -366,8 +367,7 @@ def sioux_falls_env(path=None) -> EnvironmentModel:
         gamma=0.5,
         reward=reward,
         reward_matrix=reward_matrix,
-        sample_next=sample_next,
-        exact_kernel=exact_kernel,
+        sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
         initial_state=np.full(n_e, 1.0 / n_e),
         reward_bound=max(c1, c2),
@@ -425,25 +425,12 @@ def toy_finite_env(
     def reward_matrix(mu):
         return r_base + r_pop @ mu
 
-    def mixed_kernel(mu):
-        return (1.0 - eps) * p0 + eps * mu[None, None, :]
-
-    def exact_kernel(s, a, mu):
-        return (1.0 - eps) * p0[s, a] + eps * mu
-
-    def sample_next(s, a, mu, rng_):
-        row = (1.0 - eps) * p0[s, a] + eps * mu
-        cdf = row.cumsum()
-        u = rng_.random()
-        idx = int(cdf.searchsorted(u, side="right"))
-        return min(idx, n_states - 1)
-
     idx_cache = np.broadcast_to(
         np.arange(n_states)[None, None, :], (n_states, n_actions, n_states)
     )
 
     def kernel_support(mu):
-        return idx_cache, mixed_kernel(mu)
+        return idx_cache, (1.0 - eps) * p0 + eps * mu[None, None, :]
 
     bound = float(np.max(np.abs(r_base)[..., None] + np.abs(r_pop)))
 
@@ -454,8 +441,7 @@ def toy_finite_env(
         gamma=gamma,
         reward=reward,
         reward_matrix=reward_matrix,
-        sample_next=sample_next,
-        exact_kernel=exact_kernel,
+        sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
         initial_state=np.full(n_states, 1.0 / n_states),
         reward_bound=bound,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    Observation,
     RunConfig,
     StepSizeSchedule,
     UnifiedParameter,
@@ -35,6 +36,8 @@ from .lfa import (
     one_hot_feature_map,
     one_hot_measure_basis,
     project_simplex,
+    semi_gradient_eta,
+    semi_gradient_theta,
 )
 from .metrics import (
     _exploitability_at,
@@ -80,6 +83,8 @@ class ReferenceSolution:
     mu_star: np.ndarray  # (S,)
     iterations: int
     final_exploitability: float
+    outer_iters: int = 300  # the solver's iteration budget
+    converged: bool = False  # whether the stopping rule fired within it
     expl_iterations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     expl_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -97,27 +102,16 @@ class RunRecord:
     final: UnifiedParameter
     param_trace: Optional[List[UnifiedParameter]] = None
 
-    def snapshots(self):
-        """The run's metric trace as MetricSnapshot values."""
-        from .metrics import MetricSnapshot
-
-        expl = {}
-        if self.expl_steps is not None:
-            expl = dict(zip(self.expl_steps.tolist(), self.expl_values.tolist()))
-        out = []
-        for i, t in enumerate(self.steps.tolist()):
-            m = float(self.mse[i]) if self.mse is not None else 0.0
-            out.append(MetricSnapshot(step=t, mse=m, exploitability=expl.get(t)))
-        return out
-
 
 class _OnlineRun:
     """Shared chain/update plumbing for SemiSGD and online FPI.
 
     Holds flat parameter vectors plus a tabular (S, A) view of theta when
     the feature map is one-hot, the current chain position, and the run's
-    generator.  All update arithmetic lives here so the two learners stay
-    bitwise comparable.
+    generator.  Both learners update through these methods, so they stay
+    bitwise comparable.  General bases and feature maps use the
+    semi-gradients of ``lfa``; the one-hot cases apply the same rules at a
+    single index.
     """
 
     def __init__(
@@ -234,8 +228,7 @@ class _OnlineRun:
             eta *= 1.0 - alpha
             eta[s_next] += alpha
         else:
-            g = self.basis.gram @ eta - self.basis.densities[:, s_next]
-            eta -= alpha * g
+            eta -= alpha * semi_gradient_eta(eta, s_next, self.basis)
         if self.project:
             if not (eta.min() >= 0.0 and abs(float(eta.sum()) - 1.0) <= SIMPLEX_TOL):
                 self.eta = project_simplex(eta)
@@ -246,10 +239,8 @@ class _OnlineRun:
             td = (q[s, a] - self.gamma * q[s_next, a_next]) - r
             q[s, a] -= alpha * td
         else:
-            f = self.phi.evaluate(s, a)
-            f_next = self.phi.evaluate(s_next, a_next)
-            td = (float(f @ self.theta) - self.gamma * float(f_next @ self.theta)) - r
-            self.theta -= alpha * (f * td)
+            obs = Observation(s, a, r, s_next, a_next)
+            self.theta -= alpha * semi_gradient_theta(self.theta, obs, self.phi, self.gamma)
         if self.project:
             norm = float(np.sqrt(self.theta @ self.theta))
             if norm > self.radius:
@@ -533,7 +524,10 @@ def model_based_fpi_fp(
     mu <- (k*mu + mu_new)/(k+1).  Once the greedy policy and its induced
     population stop changing, a final consistency pass recomputes the value
     function at the exact induced population, so the returned pair
-    satisfies both fixed points up to the stated tolerances.
+    satisfies both fixed points up to the stated tolerances.  The solution
+    records the ``outer_iters`` budget and, as ``converged``, whether that
+    stopping rule fired within it; otherwise the pass runs at the last
+    iterate.
     """
     if outer_iters < 1:
         raise ConfigError("outer_iters must be >= 1")
@@ -544,6 +538,7 @@ def model_based_fpi_fp(
     greedy_prev = None
     mu_ind_prev = None
     iterations = 0
+    converged = False
 
     for k in range(outer_iters):
         v, q, pi = value_iteration(
@@ -560,6 +555,7 @@ def model_based_fpi_fp(
             and np.array_equal(greedy_actions, greedy_prev)
             and float(np.abs(mu_ind - mu_ind_prev).sum()) < 10.0 * pop_tol
         ):
+            converged = True
             break
         greedy_prev = greedy_actions
         mu_ind_prev = mu_ind
@@ -582,6 +578,8 @@ def model_based_fpi_fp(
         mu_star=mu_star,
         iterations=iterations,
         final_exploitability=final_expl,
+        outer_iters=outer_iters,
+        converged=converged,
         expl_iterations=np.array(expl_iters, dtype=int),
         expl_trace=np.array(expl_vals),
     )

@@ -11,7 +11,6 @@ fixed point is unchanged by either device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,20 +28,6 @@ class MetricsError(RuntimeError):
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class MetricSnapshot:
-    """Time-indexed metrics of one run."""
-
-    step: int
-    mse: float
-    exploitability: Optional[float] = None
-    param_norm_gap: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mse < 0:
-            raise ValueError(f"mse must be >= 0, got {self.mse}")
 
 
 def mse(m: np.ndarray, m_ref: np.ndarray) -> float:

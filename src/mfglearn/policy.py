@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,30 +45,6 @@ def policy_row(op: PolicyOperator, q_row: np.ndarray) -> np.ndarray:
     out = np.zeros(q_row.shape[0])
     out[int(np.argmax(q_row))] = 1.0
     return out
-
-
-def apply_policy(
-    op: PolicyOperator,
-    q_values: Callable[[int, int], float],
-    s: int,
-    n_actions: int,
-    mask: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Action distribution at state s, zero on infeasible actions.
-
-    ``mask`` is the increasing array of feasible action indices; ``None``
-    means every action is feasible.
-    """
-    if mask is None:
-        q_row = np.array([q_values(s, a) for a in range(n_actions)])
-        return policy_row(op, q_row)
-    mask = np.asarray(mask)
-    if mask.size == 0:
-        raise ValueError(f"state {s} has an empty feasibility mask")
-    q_feas = np.array([q_values(s, int(a)) for a in mask])
-    dist = np.zeros(n_actions)
-    dist[mask] = policy_row(op, q_feas)
-    return dist
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:

@@ -36,6 +36,14 @@ def ring200_reference_dir(tmp_path_factory):
     return out
 
 
+def kernel_row(env, s: int, a: int, mu: np.ndarray) -> np.ndarray:
+    """Dense transition row P(. | s, a, mu) built from ``env.kernel_support``."""
+    idx, probs = env.kernel_support(mu)
+    row = np.zeros(env.n_states)
+    np.add.at(row, idx[s, a], probs[s, a])
+    return row
+
+
 def kkt_simplex_projection(v: np.ndarray) -> np.ndarray:
     """Brute-force simplex projection by KKT active-set enumeration (d <= 5).
 

@@ -46,6 +46,9 @@ def test_tracer_spans_cover_the_current_program(tmp_path):
     layers = tracing.layer_metrics(tracer, 0, tracer.mark(), counts, 1)
     assert layers["learners.samples"] == 2 * seeds * steps
     assert layers["envs.reward.calls"] == 2 * seeds * steps
+    # sample_next closes over the unwrapped kernel_support: no span per sample
+    assert layers["envs.sample_next.calls"] == 2 * seeds * steps
+    assert layers["envs.kernel_support.calls"] < seeds * steps
     assert layers["learners.step_size.calls"] == 2 * seeds * steps
     assert layers["policy.policy_row.calls"] > 0
     assert layers["policy.sample_action.us"] > 0

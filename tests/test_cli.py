@@ -129,6 +129,32 @@ def test_explicit_reference_of_another_env_is_a_config_error(tmp_path):
                  "--out", str(tmp_path / "cli")]) == 2
 
 
+def test_cached_reference_of_another_budget_is_recomputed(tmp_path):
+    cmd_reference(toy_spec(tmp_path / "shared" / "reference", reference_outer_iters=300))
+    shared = cmd_run(toy_spec(tmp_path / "shared", reference_outer_iters=5))
+    meta = json.loads(read(shared / "reference" / "meta.json"))
+    assert meta["outer_iters"] == 5
+
+
+def test_explicit_reference_of_another_budget_is_a_config_error(tmp_path):
+    ref_dir = cmd_reference(toy_spec(tmp_path / "ref", reference_outer_iters=300))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reference": str(ref_dir), "reference_outer_iters": 5,
+                                  "steps": 200, "seeds": [0]}))
+    assert main(["run", "--env", "toy", "--config", str(config),
+                 "--out", str(tmp_path / "cli")]) == 2
+
+
+def test_reference_meta_records_budget_and_convergence(tmp_path):
+    toy = json.loads(read(cmd_reference(toy_spec(tmp_path / "toy")) / "meta.json"))
+    assert (toy["outer_iters"], toy["converged"]) == (50, True)
+    sioux = cmd_reference(ExperimentSpec(env="sioux-falls", reference_outer_iters=3,
+                                         out=str(tmp_path / "sioux")))
+    meta = json.loads(read(sioux / "meta.json"))
+    assert (meta["outer_iters"], meta["converged"]) == (3, False)
+    assert load_reference(sioux).converged is False
+
+
 def test_cmd_sweep_k_k1_row_matches_semisgd_final(tmp_path):
     run_out = cmd_run(toy_spec(tmp_path / "run"))
     sweep_out = cmd_sweep_k(toy_spec(tmp_path / "sweep"), [1, 20])

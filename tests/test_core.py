@@ -4,13 +4,11 @@ import pytest
 from mfglearn.core import (
     ActionSpace,
     ConfigError,
-    Observation,
     RunConfig,
     StateSpace,
     StepSizeSchedule,
     UnifiedParameter,
     eta_on_simplex,
-    observation_valid,
     validate_parameter,
 )
 
@@ -73,15 +71,6 @@ def test_action_space_requires_nonempty_masks():
         ActionSpace(size=3, feasible=(np.array([], dtype=int),))
     with pytest.raises(ConfigError):
         ActionSpace(size=2, feasible=(np.array([5]),))
-
-
-def test_observation_validity_respects_masks():
-    states = StateSpace(size=2, kind="edges")
-    actions = ActionSpace(size=2, feasible=(np.array([0]), np.array([0, 1])))
-    ok = Observation(s=0, a=0, r=0.0, s_next=1, a_next=1)
-    bad = Observation(s=0, a=1, r=0.0, s_next=1, a_next=1)
-    assert observation_valid(ok, states, actions)
-    assert not observation_valid(bad, states, actions)
 
 
 def test_schedule_validation():

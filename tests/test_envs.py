@@ -11,6 +11,8 @@ from mfglearn.envs import (
 )
 from mfglearn.metrics import dense_policy_kernel
 
+from .conftest import kernel_row
+
 
 def eigen_stationary(p):
     """Eigenvector oracle: left eigenvector of the chain for eigenvalue one."""
@@ -28,7 +30,7 @@ def probe_kernels(env, n_probe=100, seed=0):
         feas = env.actions.feasible_at(s)
         a = int(feas[rng.integers(len(feas))])
         mu = rng.dirichlet(np.ones(env.n_states))
-        row = env.exact_kernel(s, a, mu)
+        row = kernel_row(env, s, a, mu)
         assert abs(row.sum() - 1.0) <= 1e-12
         assert row.min() >= 0.0
 
@@ -36,12 +38,72 @@ def probe_kernels(env, n_probe=100, seed=0):
 def sampling_matches_kernel(env, s, a, seed=1, n=10_000):
     rng = np.random.default_rng(seed)
     mu = np.full(env.n_states, 1.0 / env.n_states)
-    row = env.exact_kernel(s, a, mu)
+    row = kernel_row(env, s, a, mu)
     counts = np.zeros(env.n_states)
     for _ in range(n):
         counts[env.sample_next(s, a, mu, rng)] += 1
     tv = 0.5 * np.abs(counts / n - row).sum()
     assert tv < 0.05
+
+
+def old_grid_sampler(size):
+    """The per-environment shift-grid sampler that ``kernel_support`` replaced."""
+    delta = 1.0 / size
+    disp = np.arange(size) * delta * delta / delta
+    lo = np.floor(disp).astype(np.int64)
+    frac = disp - lo
+
+    def sample_next(s, a, mu, rng):
+        shift = lo[a]
+        if rng.random() < frac[a]:
+            shift += 1
+        return (s + shift) % size
+
+    return sample_next
+
+
+def old_toy_sampler(env):
+    """The per-environment toy sampler that ``kernel_support`` replaced."""
+    p0, eps = env.extras["base_kernel"], env.extras["mix_eps"]
+
+    def sample_next(s, a, mu, rng):
+        row = (1.0 - eps) * p0[s, a] + eps * mu
+        cdf = row.cumsum()
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
+        return min(idx, env.n_states - 1)
+
+    return sample_next
+
+
+@pytest.mark.parametrize(
+    "make_env, make_old",
+    [
+        (lambda: ring_road_env(50), lambda env: old_grid_sampler(50)),
+        (lambda: flocking_env(50), lambda env: old_grid_sampler(50)),
+        (sioux_falls_env, lambda env: lambda s, a, mu, rng: a),
+        (lambda: toy_finite_env(3, 2, seed=7), old_toy_sampler),
+        (lambda: toy_finite_env(4, 3, seed=8, eps=0.0, kernel_rank=2), old_toy_sampler),
+    ],
+    ids=["ring-road-50", "flocking-50", "sioux-falls", "toy-3x2-seed7", "toy-rank2-eps0"],
+)
+def test_shared_sampler_repeats_the_old_streams(make_env, make_old):
+    # same successors and the same generator state after every draw as the
+    # per-environment samplers, so every CSV written from a seed is unchanged
+    env = make_env()
+    old = make_old(env)
+    draws = np.random.default_rng(11)
+    rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(2000):
+        s = int(draws.integers(env.n_states))
+        feas = env.actions.feasible_at(s)
+        a = int(feas[draws.integers(len(feas))])
+        mu = draws.dirichlet(np.ones(env.n_states))
+        got = env.sample_next(s, a, mu, rng_new)
+        assert type(got) is int
+        assert got == old(s, a, mu, rng_old)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    if env.name == "sioux-falls":  # deterministic transitions draw nothing
+        assert rng_new.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 # -- ring road ---------------------------------------------------------------
@@ -68,7 +130,7 @@ def test_ring_road_displacement_table():
     env = ring_road_env()
     mu = env.initial_state
     for k in range(50):
-        row = env.exact_kernel(10, k, mu)
+        row = kernel_row(env, 10, k, mu)
         frac = k * 0.02 * 0.02 / 0.02
         assert row[(10 + 1) % 50] == pytest.approx(frac, abs=1e-12)
         assert row[10] == pytest.approx(1.0 - frac, abs=1e-12)
@@ -81,7 +143,7 @@ def test_ring_road_population_independent_kernel():
     mu1 = rng.dirichlet(np.ones(50))
     mu2 = rng.dirichlet(np.ones(50))
     for (s, a) in [(0, 0), (7, 25), (49, 49)]:
-        np.testing.assert_array_equal(env.exact_kernel(s, a, mu1), env.exact_kernel(s, a, mu2))
+        np.testing.assert_array_equal(kernel_row(env, s, a, mu1), kernel_row(env, s, a, mu2))
 
 
 def test_ring_road_kernel_probes_and_sampling():
@@ -172,7 +234,7 @@ def test_flocking_kernel_same_as_ring_road():
     ring, flock = ring_road_env(), flocking_env()
     mu = ring.initial_state
     for (s, a) in [(0, 10), (30, 49)]:
-        np.testing.assert_array_equal(ring.exact_kernel(s, a, mu), flock.exact_kernel(s, a, mu))
+        np.testing.assert_array_equal(kernel_row(ring, s, a, mu), kernel_row(flock, s, a, mu))
 
 
 def test_flocking_kernel_probes_and_sampling():
@@ -225,7 +287,7 @@ def test_sioux_falls_deterministic_transition():
     rng = np.random.default_rng(0)
     for s in (0, 20, 74):
         for a in env.actions.feasible_at(s):
-            row = env.exact_kernel(s, int(a), mu)
+            row = kernel_row(env, s, int(a), mu)
             assert row[int(a)] == 1.0 and row.sum() == 1.0
             assert env.sample_next(s, int(a), mu, rng) == int(a)
 
@@ -281,7 +343,7 @@ def test_toy_env_reproducible_from_seed():
     b = toy_finite_env(3, 2, seed=9)
     mu = a.initial_state
     np.testing.assert_array_equal(a.reward_matrix(mu), b.reward_matrix(mu))
-    np.testing.assert_array_equal(a.exact_kernel(1, 1, mu), b.exact_kernel(1, 1, mu))
+    np.testing.assert_array_equal(kernel_row(a, 1, 1, mu), kernel_row(b, 1, 1, mu))
 
 
 def test_toy_env_eps_zero_population_independent():
@@ -289,7 +351,7 @@ def test_toy_env_eps_zero_population_independent():
     assert env.population_independent
     rng = np.random.default_rng(2)
     mu1, mu2 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
-    np.testing.assert_array_equal(env.exact_kernel(0, 0, mu1), env.exact_kernel(0, 0, mu2))
+    np.testing.assert_array_equal(kernel_row(env, 0, 0, mu1), kernel_row(env, 0, 0, mu2))
 
 
 def test_toy_env_rows_sum_to_one():

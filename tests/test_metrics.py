@@ -15,7 +15,6 @@ from mfglearn.lfa import (
     tan_normal_basis,
 )
 from mfglearn.metrics import (
-    MetricSnapshot,
     MetricsError,
     _expected_next,
     default_max_iters,
@@ -52,7 +51,6 @@ def make_env(kernel_rows, rewards, gamma=0.5, feasible=None):
         reward=lambda s, a, mu: float(rewards[s, a]),
         reward_matrix=lambda mu: rewards.copy(),
         sample_next=sample_next,
-        exact_kernel=lambda s, a, mu: kernel_rows[s, a].copy(),
         kernel_support=lambda mu: (idx, kernel_rows),
         initial_state=np.full(n_s, 1.0 / n_s),
         reward_bound=float(np.abs(rewards).max()) or 1.0,
@@ -380,12 +378,6 @@ def test_span_residual_positive_off_span():
 
 
 # -- plumbing ---------------------------------------------------------------------
-
-
-def test_metric_snapshot_rejects_negative_mse():
-    with pytest.raises(ValueError):
-        MetricSnapshot(step=0, mse=-1.0)
-    MetricSnapshot(step=0, mse=0.0, exploitability=None)
 
 
 def test_resample_masses_preserves_mass():

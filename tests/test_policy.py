@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mfglearn.core import ConfigError
 from mfglearn.policy import (
-    apply_policy,
     argmax_operator,
     policy_matrix,
     policy_row,
@@ -58,20 +57,6 @@ def test_softmax_shift_invariance(q, shift):
     a = policy_row(op, np.array(q))
     b = policy_row(op, np.array(q) + shift)
     assert np.abs(a - b).max() <= 1e-12
-
-
-def test_apply_policy_masks_infeasible_actions():
-    q = {(0, 0): 5.0, (0, 1): 50.0, (0, 2): 6.0}
-    dist = apply_policy(
-        softmax_operator(1.0), lambda s, a: q[(s, a)], 0, 3, mask=np.array([0, 2])
-    )
-    assert dist[1] == 0.0
-    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_apply_policy_empty_mask_raises():
-    with pytest.raises(ValueError):
-        apply_policy(argmax_operator(), lambda s, a: 0.0, 0, 2, mask=np.array([], dtype=int))
 
 
 def test_sample_action_point_mass():
