@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -72,6 +73,18 @@ class ActionSpace:
                     raise ConfigError(f"state {s} has no feasible action")
                 if np.any(acts < 0) or np.any(acts >= self.size):
                     raise ConfigError(f"state {s} has out-of-range feasible actions")
+
+    @cached_property
+    def mask(self) -> Optional[np.ndarray]:
+        """Read-only (S, A) table of ``feasible``, built once; None if every
+        action is feasible everywhere."""
+        if self.feasible is None:
+            return None
+        mask = np.zeros((len(self.feasible), self.size), dtype=bool)
+        for s, acts in enumerate(self.feasible):
+            mask[s, acts] = True
+        mask.flags.writeable = False
+        return mask
 
     def feasible_at(self, s: int) -> np.ndarray:
         if self.feasible is None:

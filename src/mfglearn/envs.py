@@ -429,8 +429,10 @@ def toy_finite_env(
         np.arange(n_states)[None, None, :], (n_states, n_actions, n_states)
     )
 
+    kept = (1.0 - eps) * p0  # the population-free part, built once
+
     def kernel_support(mu):
-        return idx_cache, (1.0 - eps) * p0 + eps * mu[None, None, :]
+        return idx_cache, kept + eps * mu
 
     bound = float(np.max(np.abs(r_base)[..., None] + np.abs(r_pop)))
 

@@ -10,8 +10,8 @@ update only the value function.  With K = 1 the two produce identical
 parameter trajectories under the same seed.
 
 ``model_based_fpi_fp`` computes the reference equilibrium by alternating
-value iteration, exact induced-population computation, and fictitious-play
-averaging of the population iterates.
+exact best responses (policy iteration), induced-population computation,
+and fictitious-play averaging of the population iterates.
 """
 
 from __future__ import annotations
@@ -511,20 +511,18 @@ def run_online_fpi(
 def model_based_fpi_fp(
     env: EnvironmentModel,
     outer_iters: int = 300,
-    vi_iters: Optional[int] = None,
-    vi_tol: float = 1e-10,
     expl_every: Optional[int] = 1,
     pop_tol: float = 1e-12,
 ) -> ReferenceSolution:
     """Reference equilibrium by model-based FPI with fictitious play.
 
-    Alternates (i) value iteration at the averaged population, (ii) exact
-    induced-population computation for the greedy policy (population fed
-    back into the kernel), and (iii) fictitious-play averaging
-    mu <- (k*mu + mu_new)/(k+1).  Once the greedy policy and its induced
-    population stop changing, a final consistency pass recomputes the value
-    function at the exact induced population, so the returned pair
-    satisfies both fixed points up to the stated tolerances.  The solution
+    Alternates (i) the best response at the averaged population, by policy
+    iteration with exact evaluation (``value_iteration``), (ii) the induced
+    population of that greedy policy (population fed back into the kernel),
+    and (iii) fictitious-play averaging mu <- (k*mu + mu_new)/(k+1).  Once
+    the greedy policy and its induced population stop changing, a final
+    consistency pass recomputes Q at the induced population, so the returned
+    pair satisfies both fixed points up to the stated tolerances.  The solution
     records the ``outer_iters`` budget and, as ``converged``, whether that
     stopping rule fired within it; otherwise the pass runs at the last
     iterate.
@@ -532,7 +530,6 @@ def model_based_fpi_fp(
     if outer_iters < 1:
         raise ConfigError("outer_iters must be >= 1")
     mu_avg = env.initial_state.copy()
-    v = None
     expl_iters: List[int] = []
     expl_vals: List[float] = []
     greedy_prev = None
@@ -541,14 +538,12 @@ def model_based_fpi_fp(
     converged = False
 
     for k in range(outer_iters):
-        v, q, pi = value_iteration(
-            env, mu_avg, tol=vi_tol, max_iters=vi_iters, v0=v, strict=False
-        )
+        _, _, pi = value_iteration(env, mu_avg)
         mu_ind = induced_population(pi, env, tol=pop_tol)
         iterations = k + 1
         if expl_every and k % expl_every == 0:
             expl_iters.append(k)
-            expl_vals.append(_exploitability_at(pi, env, mu_ind, tol=vi_tol, v0=v))
+            expl_vals.append(_exploitability_at(pi, env, mu_ind))
         greedy_actions = np.argmax(pi, axis=1)
         if (
             greedy_prev is not None
@@ -565,14 +560,12 @@ def model_based_fpi_fp(
     pi_last = np.zeros((env.n_states, env.n_actions))
     pi_last[np.arange(env.n_states), greedy_prev] = 1.0
     mu_star = induced_population(pi_last, env, tol=pop_tol)
-    v_star, q_star, pi_star = value_iteration(
-        env, mu_star, tol=vi_tol, max_iters=vi_iters, v0=v, strict=False
-    )
+    _, q_star, pi_star = value_iteration(env, mu_star)
     if np.array_equal(np.argmax(pi_star, axis=1), greedy_prev):
-        final_expl = _exploitability_at(pi_star, env, mu_star, tol=vi_tol, v0=v_star)
+        final_expl = _exploitability_at(pi_star, env, mu_star)
     else:
         mu_pi = induced_population(pi_star, env, tol=pop_tol)
-        final_expl = _exploitability_at(pi_star, env, mu_pi, tol=vi_tol, v0=v_star)
+        final_expl = _exploitability_at(pi_star, env, mu_pi)
     return ReferenceSolution(
         q_star=q_star,
         mu_star=mu_star,

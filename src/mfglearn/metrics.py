@@ -1,6 +1,11 @@
-"""Evaluation machinery: MSE, induced populations, value iteration, policy
+"""Evaluation machinery: MSE, induced populations, best responses, policy
 evaluation, exploitability, the mean-path semi-gradient stationarity
 certificate, and span residuals of measure bases.
+
+Values are exact: a policy is evaluated by one linear solve of
+(I - gamma P_pi) v = r_pi, and a best response (``value_iteration``, named
+for the Bellman-optimality problem it solves) is found by policy iteration,
+a handful of such solves.
 
 Stationary and induced distributions are computed by fixed-point iteration
 of the transition operator (power sweeps).  For population-independent
@@ -20,6 +25,9 @@ from .lfa import FeatureMap, MeasureBasis
 from .policy import PolicyOperator, policy_matrix
 
 _MAX_SWEEPS = 10**6
+_MAX_POLICY_STEPS = 1000
+_PI_SLACK = 1e-13  # times R / (1 - gamma): smallest improvement that switches an action
+_ROUNDING = 1e-9  # times R / (1 - gamma): largest negative exploitability taken as zero
 
 
 class MetricsError(RuntimeError):
@@ -40,15 +48,20 @@ def mse(m: np.ndarray, m_ref: np.ndarray) -> float:
     return float(d @ d)
 
 
+def _dense_rows(idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(S, S) matrix holding the sum of w[s, ...] at [s, idx[s, ...]].
+
+    Adds the weights in C order from zero, the order ``np.add.at`` uses.
+    """
+    n = idx.shape[0]
+    flat = (idx.reshape(n, -1) + n * np.arange(n)[:, None]).ravel()
+    return np.bincount(flat, weights=w.ravel(), minlength=n * n).reshape(n, n)
+
+
 def dense_policy_kernel(pi: np.ndarray, env: EnvironmentModel, mu: np.ndarray) -> np.ndarray:
     """Dense state-to-state kernel P_pi[s, s'] under policy pi at population mu."""
     idx, probs = env.kernel_support(mu)
-    n_s = env.n_states
-    p = np.zeros((n_s, n_s))
-    w = pi[:, :, None] * probs
-    rows = np.broadcast_to(np.arange(n_s)[:, None, None], idx.shape)
-    np.add.at(p, (rows.ravel(), idx.ravel()), w.ravel())
-    return p
+    return _dense_rows(idx, pi[:, :, None] * probs)
 
 
 def _stationary_of_dense(p: np.ndarray, tol: float, plain_limit: int = 200) -> np.ndarray:
@@ -126,32 +139,14 @@ def induced_population(
     )
 
 
-def _feasibility_mask(env: EnvironmentModel) -> Optional[np.ndarray]:
-    if env.actions.feasible is None:
-        return None
-    mask = np.zeros((env.n_states, env.n_actions), dtype=bool)
-    for s, feas in enumerate(env.actions.feasible):
-        mask[s, feas] = True
-    return mask
+def _greedy_actions(q: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+    """Lowest-index argmax of each row of q over the feasible actions."""
+    return np.argmax(q if mask is None else np.where(mask, q, -np.inf), axis=1)
 
 
-def _greedy_from_q(q: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
-    """Deterministic greedy policy, lowest-index tie-break, respecting masks."""
-    if mask is None:
-        best = np.argmax(q, axis=1)
-    else:
-        best = np.argmax(np.where(mask, q, -np.inf), axis=1)
-    pi = np.zeros_like(q)
-    pi[np.arange(q.shape[0]), best] = 1.0
-    return pi
-
-
-def default_max_iters(gamma: float, tol: float, reward_bound: float) -> int:
-    """Iteration cap from the standard contraction bound."""
-    if gamma == 0.0:
-        return 2
-    r = max(reward_bound, tol)
-    return int(np.ceil(np.log(tol * (1.0 - gamma) / r) / np.log(gamma))) + 10
+def _value_scale(env: EnvironmentModel) -> float:
+    """R / (1 - gamma), the largest discounted value the game admits."""
+    return env.reward_bound / max(1.0 - env.gamma, 1e-6)
 
 
 def _expected_next(idx: np.ndarray, probs: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -171,107 +166,70 @@ def _expected_next(idx: np.ndarray, probs: np.ndarray, v: np.ndarray) -> np.ndar
     return total
 
 
-def value_iteration(
-    env: EnvironmentModel,
-    mu_fixed: np.ndarray,
-    tol: float = 1e-10,
-    max_iters: Optional[int] = None,
-    v0: Optional[np.ndarray] = None,
-    strict: bool = True,
-):
-    """Bellman-optimality iteration for the MDP frozen at mu_fixed.
+def value_iteration(env: EnvironmentModel, mu_fixed: np.ndarray):
+    """Optimal values of the MDP frozen at mu_fixed, by policy iteration.
 
-    Returns (V, Q, greedy policy).  Stops when the sup-norm change drops
-    below ``tol``; if ``strict`` and ``max_iters`` is exceeded, raises a
-    MetricsError carrying the residual, otherwise returns the last iterate.
-
-    Each sweep is Q = r + gamma * E[V(s') | s, a], the expectation taken by
-    ``_expected_next``.  With fewer than 8 successors per state-action pair
-    (Sioux Falls 1, ring road and flocking 2, the toy game one per state)
-    V and Q are bit-identical to sweeps of
-    ``r + gamma * (probs * v[idx]).sum(axis=-1)``; with 8 or more they
-    agree to rounding only.
+    Returns (V, Q, greedy policy).  Starting from the greedy policy of the
+    reward, each step evaluates the current deterministic policy exactly,
+    by solving (I - gamma P) v = r with P built from the chosen action's
+    ``kernel_support`` row alone, and backs Q up with ``_expected_next``.
+    A state switches action only when its best Q exceeds the current one
+    by more than ``_PI_SLACK`` * R / (1 - gamma), so rounding ties cannot
+    make the iteration cycle.  V is the value of the last policy, within
+    that slack (times 1 / (1 - gamma)) of V*; the returned policy is the
+    lowest-index greedy policy of Q.  Raises ``MetricsError`` if no policy
+    is stable within ``_MAX_POLICY_STEPS`` steps.
     """
-    if max_iters is None:
-        max_iters = default_max_iters(env.gamma, tol, env.reward_bound)
-    r = env.reward_matrix(np.asarray(mu_fixed, dtype=np.float64))
-    idx, probs = env.kernel_support(np.asarray(mu_fixed, dtype=np.float64))
-    mask = _feasibility_mask(env)
-    v = np.zeros(env.n_states) if v0 is None else np.array(v0, dtype=np.float64)
-    gamma = env.gamma
-    q = r.copy()
-    residual = float("inf")
-    for _ in range(max_iters):
-        q = r + gamma * _expected_next(idx, probs, v)
-        v_next = q.max(axis=1) if mask is None else np.where(mask, q, -np.inf).max(axis=1)
-        residual = float(np.abs(v_next - v).max())
-        v = v_next
-        if residual < tol:
-            break
-    else:
-        if strict:
-            raise MetricsError(
-                f"value iteration exceeded {max_iters} iterations "
-                f"(residual {residual:.3e})",
-                residual,
-            )
-    return v, q, _greedy_from_q(q, mask)
+    mu_fixed = np.asarray(mu_fixed, dtype=np.float64)
+    r = env.reward_matrix(mu_fixed)
+    idx, probs = env.kernel_support(mu_fixed)
+    mask = env.actions.mask
+    states = np.arange(env.n_states)
+    slack = _PI_SLACK * _value_scale(env)
+    actions = _greedy_actions(r, mask)
+    for _ in range(_MAX_POLICY_STEPS):
+        p = _dense_rows(idx[states, actions], probs[states, actions])
+        v = np.linalg.solve(np.eye(env.n_states) - env.gamma * p, r[states, actions])
+        q = r + env.gamma * _expected_next(idx, probs, v)
+        best = _greedy_actions(q, mask)
+        improve = q[states, best] > q[states, actions] + slack
+        if not improve.any():
+            pi = np.zeros_like(q)
+            pi[states, best] = 1.0
+            return v, q, pi
+        actions = np.where(improve, best, actions)
+    raise MetricsError(f"policy iteration found no stable policy in {_MAX_POLICY_STEPS} steps")
 
 
-def policy_evaluation(
-    env: EnvironmentModel,
-    pi: np.ndarray,
-    mu_fixed: np.ndarray,
-    tol: float = 1e-10,
-    max_iters: Optional[int] = None,
-    v0: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Iterative evaluation of a fixed policy on the MDP frozen at mu_fixed."""
-    if max_iters is None:
-        max_iters = default_max_iters(env.gamma, tol, env.reward_bound)
+def policy_evaluation(env: EnvironmentModel, pi: np.ndarray, mu_fixed: np.ndarray) -> np.ndarray:
+    """Exact value of policy pi on the MDP frozen at mu_fixed: the solution
+    of (I - gamma P_pi) v = r_pi, P_pi from ``dense_policy_kernel``."""
     mu_fixed = np.asarray(mu_fixed, dtype=np.float64)
     r_pi = (pi * env.reward_matrix(mu_fixed)).sum(axis=1)
     p_pi = dense_policy_kernel(pi, env, mu_fixed)
-    v = np.zeros(env.n_states) if v0 is None else np.array(v0, dtype=np.float64)
-    gamma = env.gamma
-    residual = float("inf")
-    for _ in range(max_iters):
-        v_next = r_pi + gamma * (p_pi @ v)
-        residual = float(np.abs(v_next - v).max())
-        v = v_next
-        if residual < tol:
-            return v
-    raise MetricsError(
-        f"policy evaluation exceeded {max_iters} iterations (residual {residual:.3e})",
-        residual,
-    )
+    return np.linalg.solve(np.eye(env.n_states) - env.gamma * p_pi, r_pi)
 
 
-def _exploitability_at(
-    pi: np.ndarray,
-    env: EnvironmentModel,
-    mu_pi: np.ndarray,
-    tol: float = 1e-10,
-    v0: Optional[np.ndarray] = None,
-) -> float:
-    v_br, _, _ = value_iteration(env, mu_pi, tol=tol, v0=v0, strict=False)
-    v_pi = policy_evaluation(env, pi, mu_pi, tol=tol, v0=v0)
+def _exploitability_at(pi: np.ndarray, env: EnvironmentModel, mu_pi: np.ndarray) -> float:
+    """mu_pi . (V* - V_pi) on the MDP frozen at mu_pi; values below zero by
+    no more than ``_ROUNDING`` * R / (1 - gamma) are clamped to zero."""
+    v_br, _, _ = value_iteration(env, mu_pi)
+    v_pi = policy_evaluation(env, pi, mu_pi)
     value = float(mu_pi @ (v_br - v_pi))
-    floor = 10.0 * tol / max(1.0 - env.gamma, 1e-6)
-    if value < -floor:
-        raise MetricsError(f"exploitability is negative beyond tolerance: {value:.3e}")
+    if value < -_ROUNDING * _value_scale(env):
+        raise MetricsError(f"exploitability is negative beyond rounding: {value:.3e}")
     return max(value, 0.0)
 
 
-def exploitability(pi: np.ndarray, env: EnvironmentModel, tol: float = 1e-10) -> float:
+def exploitability(pi: np.ndarray, env: EnvironmentModel) -> float:
     """Best-response value gain of the policy under its own induced population.
 
-    Zero exactly at a mean field equilibrium.  Small negatives from value
-    iteration noise (within 10*tol/(1-gamma)) are clamped at zero; anything
-    below that raises.
+    Zero exactly at a mean field equilibrium.  Small negatives from rounding
+    and the policy-iteration slack (within 1e-9 * R / (1 - gamma)) are
+    clamped at zero; anything below that raises.
     """
     mu_pi = induced_population(pi, env)
-    return _exploitability_at(pi, env, mu_pi, tol=tol)
+    return _exploitability_at(pi, env, mu_pi)
 
 
 def q_table(theta: np.ndarray, phi: FeatureMap, env: EnvironmentModel) -> np.ndarray:

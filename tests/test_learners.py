@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mfglearn.core import ConfigError, RunConfig, StepSizeSchedule, UnifiedParameter, validate_parameter
-from mfglearn.envs import toy_finite_env
+from mfglearn import learners
+from mfglearn.envs import flocking_env, ring_road_env, toy_finite_env
 from mfglearn.learners import (
     LearnerState,
     fp_mix,
@@ -19,7 +20,7 @@ from mfglearn.metrics import induced_population, value_iteration
 from mfglearn.policy import argmax_operator
 
 from .test_envs import eigen_stationary
-from .test_metrics import make_env
+from .test_metrics import make_env, seed_value_iteration
 
 
 def small_cfg(env, seed=0, steps=500, algorithm="semisgd", inner_k=None, alpha=1e-2):
@@ -230,12 +231,25 @@ def test_model_based_fpi_fp_population_independent_fixed_point():
     # no feedback loop: the solver stabilizes immediately on the optimal
     # policy's stationary distribution
     assert ref.iterations <= 2
-    v, q, pi = value_iteration(env, ref.mu_star, tol=1e-11)
+    v, q, pi = value_iteration(env, ref.mu_star)
     from mfglearn.metrics import dense_policy_kernel
 
     oracle = eigen_stationary(dense_policy_kernel(pi, env, ref.mu_star))
     np.testing.assert_allclose(ref.mu_star, oracle, atol=1e-9)
     assert ref.final_exploitability <= 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: toy_finite_env(3, 2, seed=7), lambda: ring_road_env(50), lambda: flocking_env(50),
+], ids=["toy-3x2-seed7", "ring-road-50", "flocking-50"])
+def test_model_based_fpi_fp_matches_value_iteration_solver(make, monkeypatch):
+    env = make()
+    ref = model_based_fpi_fp(env, expl_every=None)
+    monkeypatch.setattr(learners, "value_iteration", seed_value_iteration)
+    seed = model_based_fpi_fp(env, expl_every=None)
+    assert ref.iterations == seed.iterations
+    np.testing.assert_array_equal(ref.q_star.argmax(axis=1), seed.q_star.argmax(axis=1))
+    np.testing.assert_array_equal(ref.mu_star.view(np.int64), seed.mu_star.view(np.int64))
 
 
 def test_model_based_fpi_fp_gamma_zero():

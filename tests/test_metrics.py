@@ -14,10 +14,11 @@ from mfglearn.lfa import (
     one_hot_measure_basis,
     tan_normal_basis,
 )
+from mfglearn import metrics
 from mfglearn.metrics import (
     MetricsError,
     _expected_next,
-    default_max_iters,
+    dense_policy_kernel,
     exploitability,
     induced_population,
     mean_path_semigradient,
@@ -142,7 +143,7 @@ def test_value_iteration_gamma_zero_single_sweep():
 
 def test_value_iteration_geometric_series():
     env = make_env(np.ones((1, 1, 1)), np.ones((1, 1)), gamma=0.5)
-    v, q, pi = value_iteration(env, env.initial_state, tol=1e-12)
+    v, q, pi = value_iteration(env, env.initial_state)
     assert v[0] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -156,7 +157,7 @@ def test_value_iteration_matches_enumeration_oracle():
     kernel[1, 1] = [0.0, 1.0]
     rewards = np.array([[1.0, 0.0], [0.5, -0.2]])
     env = make_env(kernel, rewards, gamma=0.9)
-    v, q, pi = value_iteration(env, env.initial_state, tol=1e-12)
+    v, q, pi = value_iteration(env, env.initial_state)
 
     best = np.full(2, -np.inf)
     for a0 in range(2):
@@ -179,11 +180,31 @@ def test_value_iteration_respects_feasibility():
     np.testing.assert_array_equal(pi.argmax(axis=1), [0, 0])
 
 
-def test_value_iteration_strict_raises_with_residual():
-    env = toy_finite_env(3, 2, seed=4, gamma=0.9)
-    with pytest.raises(MetricsError) as err:
-        value_iteration(env, env.initial_state, tol=1e-12, max_iters=2)
-    assert np.isfinite(err.value.residual)
+def tie_env():
+    """Actions 0 and 2 are copies, so their Q values tie exactly; action 1
+    pays more now and leads to the worst state."""
+    kernel = np.zeros((3, 3, 3))
+    kernel[:, 0] = kernel[:, 2] = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+    kernel[:, 1, 0] = 1.0
+    rewards = np.array([[0.0, 0.2, 0.0], [1.0, 1.2, 1.0], [2.0, 2.2, 2.0]])
+    return make_env(kernel, rewards, gamma=0.9)
+
+
+def test_policy_iteration_ties_terminate_at_lowest_index():
+    env = tie_env()
+    v, q, pi = value_iteration(env, env.initial_state)
+    np.testing.assert_array_equal(q[:, 0], q[:, 2])
+    np.testing.assert_array_equal(pi.argmax(axis=1), [0, 0, 0])
+    v_seed, _, _ = seed_value_iteration(env, env.initial_state)
+    np.testing.assert_allclose(v, v_seed, rtol=0.0, atol=1e-9 * value_scale(env))
+
+
+def test_policy_iteration_raises_when_no_policy_is_stable(monkeypatch):
+    # the first policy, greedy in the reward, plays action 1 and must improve
+    monkeypatch.setattr(metrics, "_MAX_POLICY_STEPS", 1)
+    env = tie_env()
+    with pytest.raises(MetricsError):
+        value_iteration(env, env.initial_state)
 
 
 SHIPPED_ENVS = {
@@ -199,24 +220,32 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
-def seed_value_iteration(env, mu, tol=1e-10):
-    """Value iteration with the expectation as a trailing-axis numpy sum."""
+def value_scale(env):
+    return env.reward_bound / (1.0 - env.gamma)
+
+
+def seed_value_iteration(env, mu):
+    """Plain value iteration with the expectation as a trailing-axis numpy
+    sum, stopped once a sweep moves V by less than 1e-12 * R / (1 - gamma).
+    Returns (V, Q, lowest-index greedy policy), like ``value_iteration``."""
     r = env.reward_matrix(mu)
     idx, probs = env.kernel_support(mu)
-    mask = None
+    mask = np.ones((env.n_states, env.n_actions), dtype=bool)
     if env.actions.feasible is not None:
-        mask = np.zeros((env.n_states, env.n_actions), dtype=bool)
+        mask[:] = False
         for s, feas in enumerate(env.actions.feasible):
             mask[s, feas] = True
     v = np.zeros(env.n_states)
-    for _ in range(default_max_iters(env.gamma, tol, env.reward_bound)):
+    for _ in range(100_000):
         q = r + env.gamma * (probs * v[idx]).sum(axis=-1)
-        v_next = q.max(axis=1) if mask is None else np.where(mask, q, -np.inf).max(axis=1)
+        v_next = np.where(mask, q, -np.inf).max(axis=1)
         residual = float(np.abs(v_next - v).max())
         v = v_next
-        if residual < tol:
+        if residual < 1e-12 * value_scale(env):
             break
-    return v, q
+    pi = np.zeros_like(q)
+    pi[np.arange(env.n_states), np.argmax(np.where(mask, q, -np.inf), axis=1)] = 1.0
+    return v, q, pi
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_ENVS))
@@ -236,14 +265,32 @@ def test_expected_next_bit_identical_to_trailing_sum(name):
         )
 
 
-@pytest.mark.parametrize("name", ["flocking-50", "ring-road-50", "sioux-falls", "toy-3x2-seed7"])
-def test_value_iteration_bit_identical_to_trailing_sum_sweeps(name):
+@pytest.mark.parametrize("name", sorted(SHIPPED_ENVS))
+def test_policy_iteration_agrees_with_value_iteration_sweeps(name):
     env = SHIPPED_ENVS[name]()
-    mu = np.random.default_rng(5).dirichlet(np.ones(env.n_states))
-    v, q, _ = value_iteration(env, mu, strict=False)
-    v_seed, q_seed = seed_value_iteration(env, mu)
-    np.testing.assert_array_equal(bits(v), bits(v_seed))
-    np.testing.assert_array_equal(bits(q), bits(q_seed))
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        mu = rng.dirichlet(np.ones(env.n_states))
+        v, q, _ = value_iteration(env, mu)
+        v_seed, q_seed, _ = seed_value_iteration(env, mu)
+        tol = 1e-9 * value_scale(env)
+        np.testing.assert_allclose(v, v_seed, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(q, q_seed, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_ENVS))
+def test_dense_policy_kernel_bit_identical_to_add_at(name):
+    env = SHIPPED_ENVS[name]()
+    rng = np.random.default_rng(8)
+    n = env.n_states
+    for pi in (rng.dirichlet(np.ones(env.n_actions), size=n),
+               np.eye(env.n_actions)[rng.integers(0, env.n_actions, n)]):
+        mu = rng.dirichlet(np.ones(n))
+        idx, probs = env.kernel_support(mu)
+        expected = np.zeros((n, n))
+        rows = np.broadcast_to(np.arange(n)[:, None, None], idx.shape)
+        np.add.at(expected, (rows.ravel(), idx.ravel()), (pi[:, :, None] * probs).ravel())
+        np.testing.assert_array_equal(bits(dense_policy_kernel(pi, env, mu)), bits(expected))
 
 
 def test_expected_next_wide_support_agrees_to_rounding():
@@ -259,8 +306,8 @@ def test_expected_next_wide_support_agrees_to_rounding():
 
 def test_policy_evaluation_consistency_with_value_iteration(toy_env):
     mu = toy_env.initial_state
-    v, q, pi = value_iteration(toy_env, mu, tol=1e-11)
-    v_pi = policy_evaluation(toy_env, pi, mu, tol=1e-11)
+    v, q, pi = value_iteration(toy_env, mu)
+    v_pi = policy_evaluation(toy_env, pi, mu)
     np.testing.assert_allclose(v_pi, v, atol=1e-8)
 
 
@@ -284,7 +331,7 @@ def test_policy_evaluation_uniform_policy_linear_solve_oracle():
     p_pi = np.einsum("sa,san->sn", pi, kernel)
     r_pi = (pi * rewards).sum(axis=1)
     expected = np.linalg.solve(np.eye(2) - 0.8 * p_pi, r_pi)
-    np.testing.assert_allclose(policy_evaluation(env, pi, env.initial_state, tol=1e-12), expected, atol=1e-9)
+    np.testing.assert_allclose(policy_evaluation(env, pi, env.initial_state), expected, atol=1e-9)
 
 
 # -- exploitability -------------------------------------------------------------
@@ -304,20 +351,20 @@ def test_exploitability_zero_at_reference(toy_env, toy_reference):
 def test_exploitability_of_suboptimal_policy_matches_enumeration(toy_env):
     # deliberately play the worst greedy action everywhere
     mu_probe = toy_env.initial_state
-    _, q, _ = value_iteration(toy_env, mu_probe, tol=1e-11)
+    _, q, _ = value_iteration(toy_env, mu_probe)
     worst = np.zeros_like(q)
     worst[np.arange(3), q.argmin(axis=1)] = 1.0
     got = exploitability(worst, toy_env)
 
     mu_pi = induced_population(worst, toy_env)
-    v_pi = policy_evaluation(toy_env, worst, mu_pi, tol=1e-11)
+    v_pi = policy_evaluation(toy_env, worst, mu_pi)
     best = np.full(3, -np.inf)
     for a0 in range(2):
         for a1 in range(2):
             for a2 in range(2):
                 pi = np.zeros((3, 2))
                 pi[np.arange(3), [a0, a1, a2]] = 1.0
-                best = np.maximum(best, policy_evaluation(toy_env, pi, mu_pi, tol=1e-11))
+                best = np.maximum(best, policy_evaluation(toy_env, pi, mu_pi))
     expected = float(mu_pi @ (best - v_pi))
     assert got == pytest.approx(expected, abs=1e-7)
     assert got > 0.0
