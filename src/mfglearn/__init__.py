@@ -12,26 +12,21 @@ from .core import (
     StateSpace,
     StepSizeSchedule,
     UnifiedParameter,
-    validate_parameter,
 )
 from .envs import (
     EnvironmentModel,
     NetworkLoadError,
     flocking_env,
-    neighbor,
     ring_road_env,
     sioux_falls_env,
     toy_finite_env,
 )
 from .learners import (
-    LearnerState,
     ReferenceSolution,
     RunRecord,
-    init_learner_state,
     model_based_fpi_fp,
     run_online_fpi,
     run_semisgd,
-    semisgd_step,
     step_size,
 )
 from .lfa import (
@@ -40,7 +35,6 @@ from .lfa import (
     gram_matrix,
     one_hot_feature_map,
     one_hot_measure_basis,
-    project_ball,
     project_simplex,
     semi_gradient_eta,
     semi_gradient_theta,
@@ -51,7 +45,6 @@ from .metrics import (
     exploitability,
     induced_population,
     mean_path_semigradient,
-    mse,
     policy_evaluation,
     span_residual,
     value_iteration,

@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 SIMPLEX_TOL = 1e-12
-_BALL_SLACK = 1e-9
 
 
 class ConfigError(ValueError):
@@ -47,10 +46,6 @@ class StateSpace:
             raise ConfigError(
                 f"grid must cover the unit interval: size*delta = {self.size * self.delta}"
             )
-
-    def coordinate(self, index: int) -> float:
-        """Continuous coordinate of a grid state."""
-        return index * self.delta
 
 
 @dataclass(frozen=True)
@@ -85,11 +80,6 @@ class ActionSpace:
             mask[s, acts] = True
         mask.flags.writeable = False
         return mask
-
-    def feasible_at(self, s: int) -> np.ndarray:
-        if self.feasible is None:
-            return np.arange(self.size)
-        return self.feasible[s]
 
 
 @dataclass(frozen=True)
@@ -180,24 +170,3 @@ class RunConfig:
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
 
-
-def eta_on_simplex(eta: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
-    """True iff every entry is >= 0 and the sum is within ``tol`` of one."""
-    eta = np.asarray(eta)
-    if eta.ndim != 1 or eta.size == 0 or not np.all(np.isfinite(eta)):
-        return False
-    return bool(np.all(eta >= 0.0) and abs(float(eta.sum()) - 1.0) <= tol)
-
-
-def validate_parameter(xi: UnifiedParameter, cfg: RunConfig) -> bool:
-    """Check both unified-parameter invariants under the config tolerances.
-
-    Pure predicate: returns False rather than raising.
-    """
-    if not eta_on_simplex(xi.eta):
-        return False
-    if not np.all(np.isfinite(xi.theta)):
-        return False
-    norm = float(np.linalg.norm(xi.theta))
-    limit = cfg.ball_radius * (1.0 + _BALL_SLACK)
-    return norm <= limit

@@ -6,7 +6,10 @@ Every environment defines its transition kernel once, as the sparse
 ``kernel_support(mu)`` arrays, and derives everything else from them: the
 per-sample ``sample_next`` is an inverse-CDF draw over the (s, a) support
 row, and the model-based solver and the exploitability metric read the
-arrays directly.  Rewards come in a scalar and a vectorized form.
+arrays directly.  Rewards are defined once as well, as the pointwise
+``reward(s, a, mu)``; the solver's (S, A) ``reward_matrix(mu)`` evaluates
+that same function on broadcast index arrays, so it agrees with every
+sampled reward bit for bit.
 
 Grid dynamics: the continuous move s' = s + a*dt (mod 1) is mapped back to
 the grid by stochastic rounding of the displacement in cells, which keeps
@@ -18,7 +21,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -34,9 +37,14 @@ class EnvironmentModel:
     """A mean field game environment on finite state and action spaces.
 
     ``reward`` and ``sample_next`` take the population as a per-cell mass
-    vector.  ``kernel_support(mu)`` returns ``(idx, probs)`` of shape
-    (S, A, m): the m possible successors of each state-action pair and
-    their probabilities.  It is the only transition kernel an environment
+    vector.  ``reward(s, a, mu)`` takes int indices or broadcastable index
+    arrays and applies only elementwise operations to them, so the (S, A)
+    table ``reward_matrix(mu)``, which is ``_reward_table(reward)``, equals
+    it exactly at every (s, a).
+
+    ``kernel_support(mu)`` returns ``(idx, probs)`` of shape (S, A, m): the
+    m possible successors of each state-action pair and their
+    probabilities.  It is the only transition kernel an environment
     defines: ``sample_next`` is ``_support_sampler(kernel_support)``, which
     walks the support row in its stored order, so the order of the m
     successors fixes which successor each uniform draw selects.  A support
@@ -47,7 +55,7 @@ class EnvironmentModel:
     states: StateSpace
     actions: ActionSpace
     gamma: float
-    reward: Callable[[int, int, np.ndarray], float]
+    reward: Callable[[Any, Any, np.ndarray], Any]
     reward_matrix: Callable[[np.ndarray], np.ndarray]
     sample_next: Callable[[int, int, np.ndarray, np.random.Generator], int]
     kernel_support: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -63,6 +71,18 @@ class EnvironmentModel:
     @property
     def n_actions(self) -> int:
         return self.actions.size
+
+
+def _reward_table(reward, n_states: int, n_actions: int):
+    """``reward_matrix``: ``reward`` at a state column and an action row,
+    broadcast to an (S, A) array."""
+    s_col = np.arange(n_states)[:, None]
+    a_row = np.arange(n_actions)[None, :]
+
+    def reward_matrix(mu):
+        return np.broadcast_to(reward(s_col, a_row, mu), (n_states, n_actions)).copy()
+
+    return reward_matrix
 
 
 def _support_sampler(kernel_support):
@@ -142,10 +162,6 @@ def ring_road_env(size: int = 50) -> EnvironmentModel:
         bracket = b[s] + 0.5 * (1.0 - mu[s] / mu_jam) - a_vals[a]
         return -0.5 * bracket * bracket * delta
 
-    def reward_matrix(mu):
-        bracket = (b + 0.5 * (1.0 - mu / mu_jam))[:, None] - a_vals[None, :]
-        return -0.5 * bracket * bracket * delta
-
     # worst case over mu(s) in [0, 1] and the action grid
     lo_term = 0.5 * (1.0 - 1.0 / mu_jam)
     worst = max(
@@ -160,34 +176,13 @@ def ring_road_env(size: int = 50) -> EnvironmentModel:
         actions=actions,
         gamma=gamma,
         reward=reward,
-        reward_matrix=reward_matrix,
+        reward_matrix=_reward_table(reward, size, size),
         sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
         initial_state=np.full(size, 1.0 / size),
         reward_bound=bound,
         population_independent=True,
     )
-
-
-def neighbor(mu: np.ndarray, s: int, radius: float) -> float:
-    """Mass-weighted mean location of the cells within ``radius`` of state s.
-
-    The window is truncated at the interval boundary (zero padding outside
-    [0, 1]); a window with zero mass returns the location of s itself.
-    """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    n = mu.shape[0]
-    delta = 1.0 / n
-    half = int(np.floor(radius / delta + 1e-9))
-    lo = max(0, s - half)
-    hi = min(n - 1, s + half)
-    window = mu[lo : hi + 1]
-    mass = float(window.sum())
-    if mass == 0.0:
-        return s * delta
-    coords = np.arange(lo, hi + 1) * delta
-    return float(coords @ window) / mass
 
 
 def flocking_env(
@@ -203,38 +198,39 @@ def flocking_env(
     destination ``s_det`` and the mean location of the neighbors within
     ``radius`` (population zero-padded beyond the boundary):
 
-        r(s, a, mu) = -(a^2 + c (s_det - neighbor(mu, s))^2) ds
+        r(s, a, mu) = -(a^2 + c (s_det - m(mu, s))^2) ds
+
+    where m(mu, s) is the mass-weighted mean location of the cells within
+    ``radius`` of s, or the location of s itself if they hold no mass.
     """
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
     delta = 1.0 / size
     states = StateSpace(size=size, kind="grid", delta=delta, wrap=True)
     actions = ActionSpace(size=size)
     coords = np.arange(size) * delta
     a_vals = np.arange(size) * delta
     gamma = 1.0 - delta
+    speed_cost = a_vals * a_vals
     half = int(np.floor(radius / delta + 1e-9))
     win_lo = np.maximum(0, np.arange(size) - half)
     win_hi = np.minimum(size - 1, np.arange(size) + half)
+    before = win_lo - 1  # running sum just before the window; zeroed where win_lo == 0
+    has_before = win_lo > 0
 
     kernel_support = _grid_kernel_support(size, delta)
 
-    def _neighbor_all(mu):
-        cs_mass = np.concatenate([[0.0], np.cumsum(mu)])
-        cs_mom = np.concatenate([[0.0], np.cumsum(coords * mu)])
-        mass = cs_mass[win_hi + 1] - cs_mass[win_lo]
-        mom = cs_mom[win_hi + 1] - cs_mom[win_lo]
-        out = coords.copy()
-        nz = mass > 0.0
-        out[nz] = mom[nz] / mass[nz]
-        return out
-
     def reward(s, a, mu):
-        nb = neighbor(mu, s, radius)
-        gap = s_det - nb
-        return -(a_vals[a] * a_vals[a] + c * gap * gap) * delta
-
-    def reward_matrix(mu):
-        gap = s_det - _neighbor_all(mu)
-        return -(a_vals[None, :] ** 2 + c * (gap * gap)[:, None]) * delta
+        # window mass and moment as differences of running sums
+        cs_mass = np.cumsum(mu)
+        cs_mom = np.cumsum(coords * mu)
+        lo, hi, keep = before[s], win_hi[s], has_before[s]
+        mass = cs_mass[hi] - cs_mass[lo] * keep
+        mom = cs_mom[hi] - cs_mom[lo] * keep
+        empty = mass == 0.0  # then the mean is the location of s
+        mean = (mom * ~empty + coords[s] * empty) / (mass + empty)
+        gap = s_det - mean
+        return -(speed_cost[a] + c * gap * gap) * delta
 
     worst_gap = max(abs(s_det), abs(s_det - coords.max()))
     bound = (a_vals.max() ** 2 + c * worst_gap * worst_gap) * delta
@@ -245,7 +241,7 @@ def flocking_env(
         actions=actions,
         gamma=gamma,
         reward=reward,
-        reward_matrix=reward_matrix,
+        reward_matrix=_reward_table(reward, size, size),
         sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
         initial_state=np.full(size, 1.0 / size),
@@ -344,15 +340,14 @@ def sioux_falls_env(path=None) -> EnvironmentModel:
     actions = ActionSpace(size=n_e, feasible=feasible)
     c1, c2 = 1e5, 10.0
 
-    def reward(s, a, mu):
-        if s == restart:
-            return c2
-        return -c1 * mu[s] * mu[s]
+    # -c1 mu(s)^2 off the restart edge and c2 on it, by arithmetic alone;
+    # subtracting a zero keeps the sign of a zero congestion cost
+    on_restart = np.arange(n_e) == restart
+    congestion = np.where(on_restart, 0.0, -c1)
+    restart_loss = np.where(on_restart, -c2, 0.0)
 
-    def reward_matrix(mu):
-        per_state = -c1 * mu * mu
-        per_state[restart] = c2
-        return np.repeat(per_state[:, None], n_e, axis=1)
+    def reward(s, a, mu):
+        return congestion[s] * mu[s] * mu[s] - restart_loss[s]
 
     idx_cache = np.broadcast_to(np.arange(n_e)[None, :, None], (n_e, n_e, 1))
     prob_cache = np.ones((n_e, n_e, 1))
@@ -366,7 +361,7 @@ def sioux_falls_env(path=None) -> EnvironmentModel:
         actions=actions,
         gamma=0.5,
         reward=reward,
-        reward_matrix=reward_matrix,
+        reward_matrix=_reward_table(reward, n_e, n_e),
         sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
         initial_state=np.full(n_e, 1.0 / n_e),
@@ -419,11 +414,14 @@ def toy_finite_env(
     states = StateSpace(size=n_states, kind="edges")
     actions = ActionSpace(size=n_actions)
 
-    def reward(s, a, mu):
-        return float(r_base[s, a] + r_pop[s, a] @ mu)
+    pop_columns = tuple(r_pop[:, :, j] for j in range(n_states))
 
-    def reward_matrix(mu):
-        return r_base + r_pop @ mu
+    def reward(s, a, mu):
+        # r_base + r_pop @ mu, one population cell at a time
+        total = r_base[s, a]
+        for column, m in zip(pop_columns, mu):
+            total = total + column[s, a] * m
+        return total
 
     idx_cache = np.broadcast_to(
         np.arange(n_states)[None, None, :], (n_states, n_actions, n_states)
@@ -442,7 +440,7 @@ def toy_finite_env(
         actions=actions,
         gamma=gamma,
         reward=reward,
-        reward_matrix=reward_matrix,
+        reward_matrix=_reward_table(reward, n_states, n_actions),
         sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
         initial_state=np.full(n_states, 1.0 / n_states),

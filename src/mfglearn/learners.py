@@ -40,6 +40,7 @@ from .lfa import (
     semi_gradient_theta,
 )
 from .metrics import (
+    _POP_TOL,
     _exploitability_at,
     induced_population,
     q_table,
@@ -61,18 +62,6 @@ def step_size(schedule: StepSizeSchedule, t: int) -> float:
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"step size {alpha} at t={t} is outside (0, 1)")
     return alpha
-
-
-@dataclass
-class LearnerState:
-    """State of one online run: unified parameter, chain position, step
-    counter, and the run's random generator (shared, mutated by steps)."""
-
-    xi: UnifiedParameter
-    s: int
-    a: int
-    t: int
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -154,16 +143,9 @@ class _OnlineRun:
         self.rng = rng
         self.theta[:] = 0.0
         self.eta = project_simplex(rng.random(self.basis.d2))
-        self.s = self._sample_index(self.env.initial_state, rng)
+        self.s = sample_action(self.env.initial_state, rng)
         self.a = self._draw_action(self.q_table_now(), self.s, rng)
         self.t = 0
-
-    def init_from_state(self, state: LearnerState):
-        self.theta = state.xi.theta.copy()
-        self._bind_theta_view()
-        self.eta = state.xi.eta.copy()
-        self.s, self.a, self.t = state.s, state.a, state.t
-        self.rng = state.rng
 
     # -- policy / sampling helpers -------------------------------------
 
@@ -171,12 +153,6 @@ class _OnlineRun:
         if self.tabular_q:
             return self.theta2d
         return q_table(self.theta, self.phi, self.env)
-
-    @staticmethod
-    def _sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
-        cdf = dist.cumsum()
-        idx = int(cdf.searchsorted(rng.random(), side="right"))
-        return min(idx, dist.shape[0] - 1)
 
     def _policy_row(self, q2d: np.ndarray, s: int) -> np.ndarray:
         if self.feasible is None:
@@ -200,7 +176,7 @@ class _OnlineRun:
     def represent(self) -> np.ndarray:
         if self.tabular_m:
             return self.eta
-        return self.basis.masses.T @ self.eta
+        return self.basis.represent(self.eta)
 
     # -- chain and updates ----------------------------------------------
 
@@ -316,45 +292,6 @@ def _defaults(env, cfg, phi, basis, pol):
     if pol is None:
         pol = softmax_operator(cfg.inverse_temperature)
     return phi, basis, pol
-
-
-def init_learner_state(
-    env: EnvironmentModel,
-    cfg: RunConfig,
-    phi: Optional[FeatureMap] = None,
-    basis: Optional[MeasureBasis] = None,
-    pol: Optional[PolicyOperator] = None,
-) -> LearnerState:
-    """Initial learner state as used by the run functions."""
-    phi, basis, pol = _defaults(env, cfg, phi, basis, pol)
-    run = _OnlineRun(env, phi, basis, pol, cfg.gamma, cfg.ball_radius)
-    run.init_from_seed(cfg.seed)
-    return LearnerState(xi=run.parameter(), s=run.s, a=run.a, t=0, rng=run.rng)
-
-
-def semisgd_step(
-    state: LearnerState,
-    env: EnvironmentModel,
-    phi: FeatureMap,
-    basis: MeasureBasis,
-    pol: PolicyOperator,
-    alpha: float,
-    radius: float = np.inf,
-) -> LearnerState:
-    """One SemiSGD update from one fresh on-policy observation.
-
-    Both semi-gradients are computed from the same observation and applied
-    with the same step size; the chain advances to (s', a') and is never
-    reset.  The state's generator is shared with the returned state.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"step size must lie in (0, 1), got {alpha}")
-    run = _OnlineRun(env, phi, basis, pol, env.gamma, radius)
-    run.init_from_state(state)
-    s, a, r, s_next, a_next = run.chain_step(run.q_table_now())
-    run.update_eta(s_next, alpha)
-    run.update_theta(s, a, r, s_next, a_next, alpha)
-    return LearnerState(xi=run.parameter(), s=run.s, a=run.a, t=run.t, rng=run.rng)
 
 
 def run_semisgd(
@@ -512,7 +449,6 @@ def model_based_fpi_fp(
     env: EnvironmentModel,
     outer_iters: int = 300,
     expl_every: Optional[int] = 1,
-    pop_tol: float = 1e-12,
 ) -> ReferenceSolution:
     """Reference equilibrium by model-based FPI with fictitious play.
 
@@ -539,7 +475,7 @@ def model_based_fpi_fp(
 
     for k in range(outer_iters):
         _, _, pi = value_iteration(env, mu_avg)
-        mu_ind = induced_population(pi, env, tol=pop_tol)
+        mu_ind = induced_population(pi, env)
         iterations = k + 1
         if expl_every and k % expl_every == 0:
             expl_iters.append(k)
@@ -548,7 +484,7 @@ def model_based_fpi_fp(
         if (
             greedy_prev is not None
             and np.array_equal(greedy_actions, greedy_prev)
-            and float(np.abs(mu_ind - mu_ind_prev).sum()) < 10.0 * pop_tol
+            and float(np.abs(mu_ind - mu_ind_prev).sum()) < 10.0 * _POP_TOL
         ):
             converged = True
             break
@@ -559,12 +495,12 @@ def model_based_fpi_fp(
     # consistency pass at the final greedy policy
     pi_last = np.zeros((env.n_states, env.n_actions))
     pi_last[np.arange(env.n_states), greedy_prev] = 1.0
-    mu_star = induced_population(pi_last, env, tol=pop_tol)
+    mu_star = induced_population(pi_last, env)
     _, q_star, pi_star = value_iteration(env, mu_star)
     if np.array_equal(np.argmax(pi_star, axis=1), greedy_prev):
         final_expl = _exploitability_at(pi_star, env, mu_star)
     else:
-        mu_pi = induced_population(pi_star, env, tol=pop_tol)
+        mu_pi = induced_population(pi_star, env)
         final_expl = _exploitability_at(pi_star, env, mu_pi)
     return ReferenceSolution(
         q_star=q_star,

@@ -1,7 +1,7 @@
 """Linear function approximation machinery.
 
 Feature maps for the value function, measure bases for the population,
-Gram matrices, the two semi-gradients, and the simplex/ball projections.
+Gram matrices, the two semi-gradients, and the simplex projection.
 
 Measure convention: ``MeasureBasis.evaluate`` returns per-cell *density*
 values normalized so that ``delta * sum_s psi_i(s) == 1``.  Finite (graph
@@ -13,7 +13,7 @@ population as a mass vector is ``basis.represent(eta)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Optional
 
 import numpy as np
 
@@ -26,17 +26,25 @@ class BasisError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """State-action feature map phi with sup_{s,a} ||phi(s,a)||_2 <= 1."""
+    """State-action feature map phi with sup_{s,a} ||phi(s,a)||_2 <= 1.
 
-    d1: int
-    evaluate: Callable[[int, int], np.ndarray]
-    one_hot: bool = False
-    n_states: int = 0
-    n_actions: int = 0
+    Either the one-hot map over the d1 = S*A pairs in row-major order, which
+    stores no array (``features`` is None), or the dense (S, A, d1) array
+    ``features`` of the vectors phi(s, a), whose last axis gives d1.
+    """
 
-    def index(self, s: int, a: int) -> int:
-        """Row-major (s,a) index; only meaningful for one-hot maps."""
-        return s * self.n_actions + a
+    features: Optional[np.ndarray] = None
+    d1: int = 0
+
+    def __post_init__(self):
+        if self.features is not None:
+            features = np.asarray(self.features, dtype=np.float64)
+            object.__setattr__(self, "features", features)
+            object.__setattr__(self, "d1", features.shape[2])
+
+    @property
+    def one_hot(self) -> bool:
+        return self.features is None
 
 
 @dataclass(frozen=True)
@@ -74,15 +82,7 @@ class MeasureBasis:
 
 def one_hot_feature_map(states: StateSpace, actions: ActionSpace) -> FeatureMap:
     """One-hot feature map over state-action pairs, row-major (s,a) indexing."""
-    n_s, n_a = states.size, actions.size
-    d1 = n_s * n_a
-
-    def evaluate(s: int, a: int) -> np.ndarray:
-        v = np.zeros(d1)
-        v[s * n_a + a] = 1.0
-        return v
-
-    return FeatureMap(d1=d1, evaluate=evaluate, one_hot=True, n_states=n_s, n_actions=n_a)
+    return FeatureMap(d1=states.size * actions.size)
 
 
 def gram_matrix(densities: np.ndarray, delta: float) -> np.ndarray:
@@ -171,29 +171,20 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the ball of the given radius."""
-    if radius <= 0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= radius:
-        return v.copy()
-    return v * (radius / norm)
-
-
 def semi_gradient_theta(
     theta: np.ndarray, obs: Observation, phi: FeatureMap, gamma: float
 ) -> np.ndarray:
-    """TD semi-gradient phi(s,a) * (<phi(s,a) - gamma*phi(s',a'), theta> - r).
+    """TD semi-gradient phi(s,a) * (<phi(s,a) - gamma*phi(s',a'), theta> - r)
+    of a dense feature map.
 
-    With one-hot features this reduces to the tabular on-policy TD (SARSA)
-    error placed at index (s,a).
+    With the identity as ``features`` this reduces to the tabular on-policy
+    TD (SARSA) error placed at index (s,a), which is how the learner applies
+    the one-hot map.
     """
-    f = phi.evaluate(obs.s, obs.a)
-    f_next = phi.evaluate(obs.s_next, obs.a_next)
-    # expanded as <f, theta> - gamma <f_next, theta> so the one-hot case
-    # reproduces the tabular TD error bit for bit
+    f = phi.features[obs.s, obs.a]
+    f_next = phi.features[obs.s_next, obs.a_next]
+    # expanded as <f, theta> - gamma <f_next, theta> so identity features
+    # reproduce the tabular TD error bit for bit
     td = (float(f @ theta) - gamma * float(f_next @ theta)) - obs.r
     return f * td
 

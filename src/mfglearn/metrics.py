@@ -1,4 +1,4 @@
-"""Evaluation machinery: MSE, induced populations, best responses, policy
+"""Evaluation machinery: induced populations, best responses, policy
 evaluation, exploitability, the mean-path semi-gradient stationarity
 certificate, and span residuals of measure bases.
 
@@ -24,6 +24,7 @@ from .envs import EnvironmentModel
 from .lfa import FeatureMap, MeasureBasis
 from .policy import PolicyOperator, policy_matrix
 
+_POP_TOL = 1e-12  # l1 change of a sweep at which a population counts as fixed
 _MAX_SWEEPS = 10**6
 _MAX_POLICY_STEPS = 1000
 _PI_SLACK = 1e-13  # times R / (1 - gamma): smallest improvement that switches an action
@@ -36,16 +37,6 @@ class MetricsError(RuntimeError):
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)
         self.residual = residual
-
-
-def mse(m: np.ndarray, m_ref: np.ndarray) -> float:
-    """Squared l2 distance sum_s (m(s) - m_ref(s))^2 between mass vectors."""
-    m = np.asarray(m, dtype=np.float64)
-    m_ref = np.asarray(m_ref, dtype=np.float64)
-    if m.shape != m_ref.shape:
-        raise ValueError(f"length mismatch: {m.shape} vs {m_ref.shape}")
-    d = m - m_ref
-    return float(d @ d)
 
 
 def _dense_rows(idx: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -64,7 +55,7 @@ def dense_policy_kernel(pi: np.ndarray, env: EnvironmentModel, mu: np.ndarray) -
     return _dense_rows(idx, pi[:, :, None] * probs)
 
 
-def _stationary_of_dense(p: np.ndarray, tol: float, plain_limit: int = 200) -> np.ndarray:
+def _stationary_of_dense(p: np.ndarray, plain_limit: int = 200) -> np.ndarray:
     """Fixed point of m <- m @ p from the uniform start.
 
     Plain sweeps first; if those stall, repeated squaring of the damped
@@ -75,7 +66,7 @@ def _stationary_of_dense(p: np.ndarray, tol: float, plain_limit: int = 200) -> n
     m = np.full(n, 1.0 / n)
     for _ in range(plain_limit):
         m_next = m @ p
-        if np.abs(m_next - m).sum() < tol:
+        if np.abs(m_next - m).sum() < _POP_TOL:
             return m_next
         m = m_next
     pd = 0.5 * (np.eye(n) + p)
@@ -84,7 +75,7 @@ def _stationary_of_dense(p: np.ndarray, tol: float, plain_limit: int = 200) -> n
         pd = pd @ pd
         m_next = np.full(n, 1.0 / n) @ pd
         residual = float(np.abs(m_next @ p - m_next).sum())
-        if residual < tol:
+        if residual < _POP_TOL:
             total = m_next.sum()
             return m_next / total if total > 0 else m_next
     raise MetricsError(
@@ -92,19 +83,12 @@ def _stationary_of_dense(p: np.ndarray, tol: float, plain_limit: int = 200) -> n
     )
 
 
-def stationary_distribution(
-    pi: np.ndarray, env: EnvironmentModel, mu_env: np.ndarray, tol: float = 1e-12
-) -> np.ndarray:
+def stationary_distribution(pi: np.ndarray, env: EnvironmentModel, mu_env: np.ndarray) -> np.ndarray:
     """Stationary state distribution of the chain frozen at population mu_env."""
-    return _stationary_of_dense(dense_policy_kernel(pi, env, mu_env), tol)
+    return _stationary_of_dense(dense_policy_kernel(pi, env, mu_env))
 
 
-def induced_population(
-    pi: np.ndarray,
-    env: EnvironmentModel,
-    tol: float = 1e-12,
-    max_sweeps: int = _MAX_SWEEPS,
-) -> np.ndarray:
+def induced_population(pi: np.ndarray, env: EnvironmentModel) -> np.ndarray:
     """Fixed point of M <- sum_{s,a} M(s) pi(a|s) P(.|s,a,M) from uniform.
 
     For population-independent kernels this is the stationary distribution
@@ -113,27 +97,25 @@ def induced_population(
     """
     n = env.n_states
     if env.population_independent:
-        return _stationary_of_dense(
-            dense_policy_kernel(pi, env, env.initial_state), tol
-        )
+        return _stationary_of_dense(dense_policy_kernel(pi, env, env.initial_state))
     m = np.full(n, 1.0 / n)
     damped = False
     sweeps = 0
     residual = float("nan")
-    while sweeps < max_sweeps:
+    while sweeps < _MAX_SWEEPS:
         p = dense_policy_kernel(pi, env, m)
         m_next = m @ p
         residual = float(np.abs(m_next - m).sum())
         if damped:
             m_next = 0.5 * (m + m_next)
-        if residual < tol:
+        if residual < _POP_TOL:
             return m_next
         m = m_next
         sweeps += 1
         if not damped and sweeps >= 10_000:
             damped = True
     raise MetricsError(
-        f"induced population did not converge after {max_sweeps} sweeps "
+        f"induced population did not converge after {_MAX_SWEEPS} sweeps "
         f"(residual {residual:.3e})",
         residual,
     )
@@ -236,11 +218,7 @@ def q_table(theta: np.ndarray, phi: FeatureMap, env: EnvironmentModel) -> np.nda
     """(S, A) table of <phi(s,a), theta>."""
     if phi.one_hot:
         return theta.reshape(env.n_states, env.n_actions)
-    q = np.empty((env.n_states, env.n_actions))
-    for s in range(env.n_states):
-        for a in range(env.n_actions):
-            q[s, a] = float(phi.evaluate(s, a) @ theta)
-    return q
+    return phi.features @ theta
 
 
 def mean_path_semigradient(
@@ -268,11 +246,7 @@ def mean_path_semigradient(
     if phi.one_hot:
         g_theta = (weight * td).ravel()
     else:
-        g_theta = np.zeros(phi.d1)
-        for s in range(env.n_states):
-            for a in range(env.n_actions):
-                if weight[s, a] != 0.0:
-                    g_theta += weight[s, a] * td[s, a] * phi.evaluate(s, a)
+        g_theta = np.tensordot(weight * td, phi.features, axes=2)
 
     next_marginal = np.zeros(env.n_states)
     np.add.at(next_marginal, idx.ravel(), (weight[:, :, None] * probs).ravel())

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from mfglearn.cli import write_reference
+from mfglearn.core import SIMPLEX_TOL
 from mfglearn.envs import ring_road_env, toy_finite_env
 from mfglearn.learners import model_based_fpi_fp
+from mfglearn.lfa import FeatureMap
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +46,12 @@ def kernel_row(env, s: int, a: int, mu: np.ndarray) -> np.ndarray:
     return row
 
 
+def identity_features(n_states: int, n_actions: int) -> FeatureMap:
+    """The one-hot feature map as a dense (S, A, S*A) array."""
+    d1 = n_states * n_actions
+    return FeatureMap(np.eye(d1).reshape(n_states, n_actions, d1))
+
+
 def kkt_simplex_projection(v: np.ndarray) -> np.ndarray:
     """Brute-force simplex projection by KKT active-set enumeration (d <= 5).
 
@@ -67,3 +75,21 @@ def kkt_simplex_projection(v: np.ndarray) -> np.ndarray:
             best = x
     assert best is not None
     return best
+
+
+def eta_on_simplex(eta: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
+    """True iff every entry is >= 0 and the sum is within ``tol`` of one."""
+    eta = np.asarray(eta)
+    if eta.ndim != 1 or eta.size == 0 or not np.all(np.isfinite(eta)):
+        return False
+    return bool(np.all(eta >= 0.0) and abs(float(eta.sum()) - 1.0) <= tol)
+
+
+def validate_parameter(xi, cfg) -> bool:
+    """Both unified-parameter invariants: eta on the simplex, and a finite
+    theta inside the configured ball up to a relative slack of 1e-9."""
+    if not eta_on_simplex(xi.eta):
+        return False
+    if not np.all(np.isfinite(xi.theta)):
+        return False
+    return float(np.linalg.norm(xi.theta)) <= cfg.ball_radius * (1.0 + 1e-9)

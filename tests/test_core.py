@@ -8,9 +8,9 @@ from mfglearn.core import (
     StateSpace,
     StepSizeSchedule,
     UnifiedParameter,
-    eta_on_simplex,
-    validate_parameter,
 )
+
+from .conftest import eta_on_simplex, validate_parameter
 
 
 def make_cfg(**kwargs):
@@ -58,11 +58,6 @@ def test_state_space_grid_must_cover_unit_interval():
         StateSpace(size=50, kind="grid", delta=0.05)
     with pytest.raises(ConfigError):
         StateSpace(size=0)
-
-
-def test_state_space_coordinate():
-    s = StateSpace(size=50, kind="grid", delta=0.02)
-    assert s.coordinate(10) == pytest.approx(0.2)
 
 
 def test_action_space_requires_nonempty_masks():

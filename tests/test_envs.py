@@ -4,7 +4,6 @@ import pytest
 from mfglearn.envs import (
     NetworkLoadError,
     flocking_env,
-    neighbor,
     ring_road_env,
     sioux_falls_env,
     toy_finite_env,
@@ -23,11 +22,16 @@ def eigen_stationary(p):
     return v / v.sum()
 
 
+def feasible_actions(env, s):
+    feasible = env.actions.feasible
+    return np.arange(env.n_actions) if feasible is None else feasible[s]
+
+
 def probe_kernels(env, n_probe=100, seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(n_probe):
         s = int(rng.integers(env.n_states))
-        feas = env.actions.feasible_at(s)
+        feas = feasible_actions(env, s)
         a = int(feas[rng.integers(len(feas))])
         mu = rng.dirichlet(np.ones(env.n_states))
         row = kernel_row(env, s, a, mu)
@@ -95,7 +99,7 @@ def test_shared_sampler_repeats_the_old_streams(make_env, make_old):
     rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(2000):
         s = int(draws.integers(env.n_states))
-        feas = env.actions.feasible_at(s)
+        feas = feasible_actions(env, s)
         a = int(feas[draws.integers(len(feas))])
         mu = draws.dirichlet(np.ones(env.n_states))
         got = env.sample_next(s, a, mu, rng_new)
@@ -104,6 +108,41 @@ def test_shared_sampler_repeats_the_old_streams(make_env, make_old):
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
     if env.name == "sioux-falls":  # deterministic transitions draw nothing
         assert rng_new.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+def reward_test_populations(n, seed):
+    """Random and boundary populations: dense, sparse, uniform, and point
+    masses at the ends and inside (whole flocking windows without mass)."""
+    rng = np.random.default_rng(seed)
+    mus = [rng.dirichlet(np.ones(n)), rng.dirichlet(np.full(n, 0.05)), np.full(n, 1.0 / n)]
+    for cells in ([0], [n - 1], [n // 2], [1, n - 2]):
+        mu = np.zeros(n)
+        mu[cells] = 1.0 / len(cells)
+        mus.append(mu)
+    return mus
+
+
+@pytest.mark.parametrize(
+    "make_env",
+    [
+        lambda: toy_finite_env(3, 2, seed=7),
+        lambda: ring_road_env(50),
+        lambda: ring_road_env(200),
+        lambda: flocking_env(50),
+        sioux_falls_env,
+    ],
+    ids=["toy-3x2-seed7", "ring-road-50", "ring-road-200", "flocking-50", "sioux-falls"],
+)
+def test_reward_matches_reward_matrix_exactly(make_env):
+    # one reward formula: the solver's table is the sampled reward, bit for bit
+    env = make_env()
+    for mu in reward_test_populations(env.n_states, seed=env.n_states):
+        table = env.reward_matrix(mu)
+        assert table.shape == (env.n_states, env.n_actions)
+        pointwise = np.array([[env.reward(s, a, mu) for a in range(env.n_actions)]
+                              for s in range(env.n_states)])
+        assert (pointwise == table).all()
+        assert pointwise.tobytes() == table.tobytes()
 
 
 # -- ring road ---------------------------------------------------------------
@@ -161,41 +200,45 @@ def test_ring_road_reward_bound_holds():
         assert np.abs(r).max() <= env.reward_bound + 1e-12
 
 
-def test_ring_road_reward_matrix_matches_scalar():
-    env = ring_road_env()
-    mu = np.random.default_rng(2).dirichlet(np.ones(50))
-    r = env.reward_matrix(mu)
-    for (s, a) in [(0, 0), (13, 42), (49, 1)]:
-        assert r[s, a] == pytest.approx(env.reward(s, a, mu), abs=1e-15)
-
-
 # -- flocking ----------------------------------------------------------------
+
+
+def flocking_cost(mean, size=50, speed=0.0, c=0.5, s_det=1.0):
+    """Flocking reward of a speed whose neighbors have the given mean location."""
+    return -(speed ** 2 + c * (s_det - mean) ** 2) / size
 
 
 def test_neighbor_uniform_interior_is_identity():
     mu = np.full(50, 0.02)
-    assert neighbor(mu, 25, 0.1) == pytest.approx(0.5, abs=1e-12)
+    assert flocking_env().reward(25, 0, mu) == pytest.approx(flocking_cost(0.5), abs=1e-14)
 
 
 def test_neighbor_point_mass_inside_window():
     mu = np.zeros(50)
     mu[27] = 1.0
-    assert neighbor(mu, 25, 0.1) == pytest.approx(27 * 0.02, abs=1e-15)
+    assert flocking_env().reward(25, 0, mu) == pytest.approx(flocking_cost(27 * 0.02), abs=1e-16)
 
 
 def test_neighbor_zero_window_mass_returns_location():
     mu = np.zeros(50)
     mu[40] = 1.0
-    assert neighbor(mu, 10, 0.1) == pytest.approx(0.2, abs=1e-15)
+    got = flocking_env().reward(10, 5, mu)
+    assert got == pytest.approx(flocking_cost(0.2, speed=0.1), abs=1e-16)
 
 
 def test_neighbor_boundary_zero_padding():
     # uniform mass, window [0, 0.1] at the left boundary: mean of the six
     # cells {0, 0.02, ..., 0.10} is 0.05; cross-checked on a 0.001 grid
     mu = np.full(50, 0.02)
-    assert neighbor(mu, 0, 0.1) == pytest.approx(0.05, abs=1e-12)
+    assert flocking_env().reward(0, 0, mu) == pytest.approx(flocking_cost(0.05), abs=1e-14)
     fine = np.full(1000, 1.0 / 1000)
-    assert neighbor(fine, 0, 0.1) == pytest.approx(0.05, abs=1e-3)
+    got = flocking_env(1000).reward(0, 0, fine)
+    assert got == pytest.approx(flocking_cost(0.05, size=1000), abs=1e-6)
+
+
+def test_flocking_rejects_non_positive_radius():
+    with pytest.raises(ValueError):
+        flocking_env(radius=0.0)
 
 
 def test_flocking_reward_zero_when_aligned_at_destination():
@@ -220,14 +263,6 @@ def test_flocking_reward_bound():
     for _ in range(100):
         mu = rng.dirichlet(np.ones(50) * 0.2)
         assert np.abs(env.reward_matrix(mu)).max() <= env.reward_bound + 1e-15
-
-
-def test_flocking_reward_matrix_matches_scalar():
-    env = flocking_env()
-    mu = np.random.default_rng(4).dirichlet(np.ones(50))
-    r = env.reward_matrix(mu)
-    for (s, a) in [(0, 0), (25, 10), (49, 49)]:
-        assert r[s, a] == pytest.approx(env.reward(s, a, mu), abs=1e-15)
 
 
 def test_flocking_kernel_same_as_ring_road():
@@ -258,11 +293,11 @@ def test_sioux_falls_rewards():
     rng = np.random.default_rng(0)
     mu = rng.dirichlet(np.ones(75))
     restart = 74
-    feas = env.actions.feasible_at(restart)
+    feas = env.actions.feasible[restart]
     assert env.reward(restart, int(feas[0]), mu) == 10.0
     mu2 = np.zeros(75)
     mu2[3] = 0.001
-    a3 = int(env.actions.feasible_at(3)[0])
+    a3 = int(env.actions.feasible[3][0])
     assert env.reward(3, a3, mu2) == pytest.approx(-0.1)
 
 
@@ -278,7 +313,7 @@ def test_sioux_falls_only_restart_is_rewarding():
 def test_sioux_falls_restart_feasibility_is_node1_out_edges():
     env = sioux_falls_env()
     # the first two file edges leave node 1: (1,2) and (1,3)
-    np.testing.assert_array_equal(env.actions.feasible_at(74), [0, 1])
+    np.testing.assert_array_equal(env.actions.feasible[74], [0, 1])
 
 
 def test_sioux_falls_deterministic_transition():
@@ -286,7 +321,7 @@ def test_sioux_falls_deterministic_transition():
     mu = env.initial_state
     rng = np.random.default_rng(0)
     for s in (0, 20, 74):
-        for a in env.actions.feasible_at(s):
+        for a in env.actions.feasible[s]:
             row = kernel_row(env, s, int(a), mu)
             assert row[int(a)] == 1.0 and row.sum() == 1.0
             assert env.sample_next(s, int(a), mu, rng) == int(a)

@@ -1,24 +1,22 @@
 import numpy as np
 import pytest
 
-from mfglearn.core import ConfigError, RunConfig, StepSizeSchedule, UnifiedParameter, validate_parameter
+from mfglearn.core import ConfigError, RunConfig, StepSizeSchedule
 from mfglearn import learners
 from mfglearn.envs import flocking_env, ring_road_env, toy_finite_env
 from mfglearn.learners import (
-    LearnerState,
     fp_mix,
-    init_learner_state,
     md_mix,
     model_based_fpi_fp,
     run_online_fpi,
     run_semisgd,
-    semisgd_step,
     step_size,
 )
-from mfglearn.lfa import one_hot_feature_map, one_hot_measure_basis
+from mfglearn.lfa import FeatureMap, one_hot_feature_map, one_hot_measure_basis
 from mfglearn.metrics import induced_population, value_iteration
 from mfglearn.policy import argmax_operator
 
+from .conftest import identity_features, validate_parameter
 from .test_envs import eigen_stationary
 from .test_metrics import make_env, seed_value_iteration
 
@@ -66,53 +64,39 @@ def constant_reward_env(reward_value, n_states=2, gamma=0.0):
     return make_env(kernel, rewards, gamma=gamma)
 
 
+def semisgd_step(env, eta, s, alpha):
+    """One SemiSGD step of ``_OnlineRun`` from zero Q, population weights
+    ``eta`` and state s with action 0, as ``run_semisgd`` takes it."""
+    phi = one_hot_feature_map(env.states, env.actions)
+    run = learners._OnlineRun(env, phi, one_hot_measure_basis(env.states),
+                              argmax_operator(), env.gamma, np.inf)
+    run.eta = np.array(eta)
+    run.s, run.a, run.rng = s, 0, np.random.default_rng(0)
+    s, a, r, s_next, a_next = run.chain_step(run.q_table_now())
+    run.update_eta(s_next, alpha)
+    run.update_theta(s, a, r, s_next, a_next, alpha)
+    return run
+
+
 def test_semisgd_step_tabular_q_substitution():
     # gamma = 0, zero Q, r = 1, alpha = 0.5: the visited entry becomes 0.5
-    env = constant_reward_env(1.0)
-    phi = one_hot_feature_map(env.states, env.actions)
-    basis = one_hot_measure_basis(env.states)
-    state = LearnerState(
-        xi=UnifiedParameter(theta=np.zeros(2), eta=np.array([0.5, 0.5])),
-        s=1, a=0, t=0, rng=np.random.default_rng(0),
-    )
-    out = semisgd_step(state, env, phi, basis, argmax_operator(), alpha=0.5)
-    assert out.xi.theta[phi.index(1, 0)] == 0.5
+    run = semisgd_step(constant_reward_env(1.0), [0.5, 0.5], s=1, alpha=0.5)
+    np.testing.assert_array_equal(run.theta, [0.0, 0.5])
 
 
 def test_semisgd_step_population_arithmetic():
     # alpha = 0.1, eta = (0.5, 0.5), s' = 0 -> (0.55, 0.45), no projection
-    env = constant_reward_env(0.0)
-    phi = one_hot_feature_map(env.states, env.actions)
-    basis = one_hot_measure_basis(env.states)
-    state = LearnerState(
-        xi=UnifiedParameter(theta=np.zeros(2), eta=np.array([0.5, 0.5])),
-        s=1, a=0, t=0, rng=np.random.default_rng(0),
-    )
-    out = semisgd_step(state, env, phi, basis, argmax_operator(), alpha=0.1)
-    np.testing.assert_allclose(out.xi.eta, [0.55, 0.45], atol=1e-15)
-    assert out.s == 0
+    run = semisgd_step(constant_reward_env(0.0), [0.5, 0.5], s=1, alpha=0.1)
+    np.testing.assert_allclose(run.eta, [0.55, 0.45], atol=1e-15)
+    assert run.s == 0
 
 
 def test_semisgd_step_fixed_point_unchanged():
     # zero rewards, zero Q, eta already the point mass at the absorbing
     # state: both semi-gradients vanish and the parameter stays put
-    env = constant_reward_env(0.0)
-    phi = one_hot_feature_map(env.states, env.actions)
-    basis = one_hot_measure_basis(env.states)
-    xi0 = UnifiedParameter(theta=np.zeros(2), eta=np.array([1.0, 0.0]))
-    state = LearnerState(xi=xi0, s=0, a=0, t=0, rng=np.random.default_rng(0))
-    out = semisgd_step(state, env, phi, basis, argmax_operator(), alpha=0.3)
-    np.testing.assert_array_equal(out.xi.theta, xi0.theta)
-    np.testing.assert_array_equal(out.xi.eta, xi0.eta)
-
-
-def test_semisgd_step_rejects_bad_alpha():
-    env = constant_reward_env(0.0)
-    phi = one_hot_feature_map(env.states, env.actions)
-    basis = one_hot_measure_basis(env.states)
-    state = init_learner_state(env, small_cfg(env), phi, basis, argmax_operator())
-    with pytest.raises(ConfigError):
-        semisgd_step(state, env, phi, basis, argmax_operator(), alpha=1.0)
+    run = semisgd_step(constant_reward_env(0.0), [1.0, 0.0], s=0, alpha=0.3)
+    np.testing.assert_array_equal(run.theta, np.zeros(2))
+    np.testing.assert_array_equal(run.eta, [1.0, 0.0])
 
 
 # -- full runs ------------------------------------------------------------------
@@ -122,9 +106,11 @@ def test_run_semisgd_zero_steps_returns_initial(toy_env):
     cfg = small_cfg(toy_env, steps=0)
     rec = run_semisgd(toy_env, cfg)
     np.testing.assert_array_equal(rec.steps, [0])
-    init = init_learner_state(toy_env, cfg)
-    np.testing.assert_array_equal(rec.final.theta, init.xi.theta)
-    np.testing.assert_array_equal(rec.final.eta, init.xi.eta)
+    phi, basis, pol = learners._defaults(toy_env, cfg, None, None, None)
+    init = learners._OnlineRun(toy_env, phi, basis, pol, cfg.gamma, cfg.ball_radius)
+    init.init_from_seed(cfg.seed)
+    np.testing.assert_array_equal(rec.final.theta, init.theta)
+    np.testing.assert_array_equal(rec.final.eta, init.eta)
 
 
 def test_run_semisgd_deterministic(toy_env):
@@ -189,6 +175,37 @@ def test_run_online_fpi_variants_smoke(toy_env):
         assert rec.algorithm == f"fpi-{variant}"
         assert np.isfinite(rec.mse).all()
         assert validate_parameter(rec.final, cfg)
+
+
+@pytest.mark.parametrize("algorithm", ["semisgd", "fpi-vanilla"])
+def test_dense_identity_features_match_one_hot_bit_for_bit(toy_env, algorithm):
+    # the general feature path, fed the one-hot map as an array, retraces
+    # the tabular path exactly
+    cfg = small_cfg(toy_env, steps=600, algorithm=algorithm,
+                    inner_k=10 if algorithm != "semisgd" else None)
+    run = run_semisgd if algorithm == "semisgd" else run_online_fpi
+    mu_ref = toy_env.initial_state
+    tabular = run(toy_env, cfg, mu_ref=mu_ref, record_params=True)
+    dense = run(toy_env, cfg, phi=identity_features(3, 2), mu_ref=mu_ref, record_params=True)
+    assert tabular.mse.tobytes() == dense.mse.tobytes()
+    assert len(tabular.param_trace) == len(dense.param_trace)
+    for xa, xb in zip(tabular.param_trace, dense.param_trace):
+        assert xa.theta.tobytes() == xb.theta.tobytes()
+        assert xa.eta.tobytes() == xb.eta.tobytes()
+
+
+def test_low_rank_features_stay_finite_inside_the_ball(toy_env):
+    rng = np.random.default_rng(13)
+    features = rng.normal(size=(3, 2, 3))
+    features /= np.linalg.norm(features, axis=2).max()  # sup ||phi(s, a)|| = 1
+    phi = FeatureMap(features)
+    assert phi.d1 == 3
+    cfg = small_cfg(toy_env, steps=2000, alpha=0.05)
+    rec = run_semisgd(toy_env, cfg, phi=phi, mu_ref=toy_env.initial_state, record_params=True)
+    assert rec.final.theta.shape == (3,)
+    assert np.isfinite(rec.mse).all()
+    for xi in rec.param_trace:
+        assert validate_parameter(xi, cfg)
 
 
 def test_fp_mix_alpha_one_replaces_history():

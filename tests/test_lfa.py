@@ -3,20 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfglearn.core import ActionSpace, Observation, StateSpace
+from mfglearn.core import ActionSpace, Observation, RunConfig, StateSpace, StepSizeSchedule
+from mfglearn.envs import toy_finite_env
+from mfglearn.learners import _OnlineRun
 from mfglearn.lfa import (
     BasisError,
     gram_matrix,
     one_hot_feature_map,
     one_hot_measure_basis,
-    project_ball,
     project_simplex,
     semi_gradient_eta,
     semi_gradient_theta,
     tan_normal_basis,
 )
 
-from .conftest import kkt_simplex_projection
+from mfglearn.metrics import q_table
+from mfglearn.policy import argmax_operator
+
+from .conftest import identity_features, kkt_simplex_projection
 
 GRID50 = StateSpace(size=50, kind="grid", delta=0.02, wrap=True)
 
@@ -35,24 +39,32 @@ TAN_NORMAL_GRAM_D2_50 = np.array(
 
 
 def test_one_hot_feature_indexing_row_major():
-    phi = one_hot_feature_map(StateSpace(size=2, kind="edges"), ActionSpace(size=2))
-    assert phi.d1 == 4
-    np.testing.assert_array_equal(phi.evaluate(1, 0), [0.0, 0.0, 1.0, 0.0])
-    assert phi.index(1, 0) == 2
+    env = toy_finite_env(2, 2, seed=0)
+    phi = one_hot_feature_map(env.states, env.actions)
+    assert phi.one_hot and phi.features is None and phi.d1 == 4
+    dense = identity_features(2, 2)
+    assert not dense.one_hot and dense.d1 == 4
+    np.testing.assert_array_equal(dense.features[1, 0], [0.0, 0.0, 1.0, 0.0])
+    theta = np.arange(4.0)
+    assert q_table(theta, phi, env)[1, 0] == 2.0
+    np.testing.assert_array_equal(q_table(theta, dense, env), q_table(theta, phi, env))
 
 
 def test_one_hot_feature_unit_norm():
-    phi = one_hot_feature_map(StateSpace(size=3, kind="edges"), ActionSpace(size=4))
+    # with theta = 0, gamma = 0 and r = -1 the semi-gradient is phi(s, a)
+    phi = identity_features(3, 4)
     for s in range(3):
         for a in range(4):
-            assert np.linalg.norm(phi.evaluate(s, a)) == 1.0
+            g = semi_gradient_theta(np.zeros(12), Observation(s, a, -1.0, 0, 0), phi, 0.0)
+            assert np.linalg.norm(g) == 1.0 and g[s * 4 + a] == 1.0
 
 
 def test_one_hot_feature_degenerate_space():
     phi = one_hot_feature_map(
         StateSpace(size=1, kind="grid", delta=1.0), ActionSpace(size=1)
     )
-    np.testing.assert_array_equal(phi.evaluate(0, 0), [1.0])
+    assert phi.d1 == 1
+    np.testing.assert_array_equal(identity_features(1, 1).features[0, 0], [1.0])
 
 
 # -- measure bases -----------------------------------------------------------
@@ -195,11 +207,21 @@ def test_project_simplex_matches_kkt_oracle():
 
 
 def test_project_ball():
-    np.testing.assert_array_equal(project_ball(np.array([3.0, 4.0]), 5.0), [3.0, 4.0])
-    np.testing.assert_allclose(project_ball(np.array([6.0, 8.0]), 5.0), [3.0, 4.0])
-    np.testing.assert_array_equal(project_ball(np.zeros(3), 1.0), np.zeros(3))
+    # the learner's projection after a value update, for both feature paths:
+    # theta is scaled back onto the ball when it leaves it, else kept
+    env = toy_finite_env(2, 1, seed=0)
+    for phi in (one_hot_feature_map(env.states, env.actions), identity_features(2, 1)):
+        run = _OnlineRun(env, phi, one_hot_measure_basis(env.states), argmax_operator(),
+                         gamma=0.0, radius=5.0)
+        run.theta[:] = [3.0, 4.0]
+        run.update_theta(0, 0, 3.0, 1, 0, alpha=0.5)  # zero TD error
+        np.testing.assert_array_equal(run.theta, [3.0, 4.0])
+        run.theta[:] = [3.0, 8.0]
+        run.update_theta(0, 0, 9.0, 1, 0, alpha=0.5)  # [6, 8], then onto the ball
+        np.testing.assert_allclose(run.theta, [3.0, 4.0], rtol=1e-15)
     with pytest.raises(ValueError):
-        project_ball(np.ones(2), 0.0)
+        RunConfig(total_steps=1, schedule=StepSizeSchedule("constant", 0.5), gamma=0.5,
+                  inverse_temperature=1.0, ball_radius=0.0, seed=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,21 +238,21 @@ def test_project_simplex_always_lands_on_simplex(values):
 
 
 def test_semi_gradient_theta_substitution():
-    phi = one_hot_feature_map(StateSpace(size=2, kind="edges"), ActionSpace(size=2))
+    phi = identity_features(2, 2)
     obs = Observation(s=0, a=1, r=1.0, s_next=1, a_next=0)
     g = semi_gradient_theta(np.zeros(4), obs, phi, gamma=0.0)
     expected = np.zeros(4)
-    expected[phi.index(0, 1)] = -1.0
+    expected[0 * 2 + 1] = -1.0
     np.testing.assert_array_equal(g, expected)
 
 
 def test_semi_gradient_theta_self_loop_shrink():
-    phi = one_hot_feature_map(StateSpace(size=2, kind="edges"), ActionSpace(size=2))
+    phi = identity_features(2, 2)
     theta = np.zeros(4)
-    theta[phi.index(1, 1)] = 1.0
+    theta[1 * 2 + 1] = 1.0
     obs = Observation(s=1, a=1, r=0.0, s_next=1, a_next=1)
     g = semi_gradient_theta(theta, obs, phi, gamma=0.98)
-    assert g[phi.index(1, 1)] == pytest.approx(0.02, abs=1e-15)
+    assert g[1 * 2 + 1] == pytest.approx(0.02, abs=1e-15)
 
 
 def test_semi_gradient_theta_zero_at_bellman_fixed_point():
@@ -239,7 +261,7 @@ def test_semi_gradient_theta_zero_at_bellman_fixed_point():
     r0, r1, gamma = 1.0, -0.5, 0.5
     q0 = (r0 + gamma * r1) / (1 - gamma * gamma)
     q1 = (r1 + gamma * q0)
-    phi = one_hot_feature_map(StateSpace(size=2, kind="edges"), ActionSpace(size=1))
+    phi = identity_features(2, 1)
     theta = np.array([q0, q1])
     g0 = semi_gradient_theta(theta, Observation(0, 0, r0, 1, 0), phi, gamma)
     g1 = semi_gradient_theta(theta, Observation(1, 0, r1, 0, 0), phi, gamma)
@@ -250,7 +272,7 @@ def test_semi_gradient_theta_zero_at_bellman_fixed_point():
 def test_semi_gradient_theta_tabular_exactness():
     # with one-hot features the semi-gradient is the TD error
     # (q(s,a) - gamma q(s',a')) - r placed at index (s,a), bit for bit
-    phi = one_hot_feature_map(StateSpace(size=3, kind="edges"), ActionSpace(size=2))
+    phi = identity_features(3, 2)
     rng = np.random.default_rng(31)
     for _ in range(50):
         theta = rng.normal(size=6)
@@ -260,7 +282,7 @@ def test_semi_gradient_theta_tabular_exactness():
         g = semi_gradient_theta(theta, Observation(s, a, r, sn, an), phi, gamma)
         q = theta.reshape(3, 2)
         expected = np.zeros(6)
-        expected[phi.index(s, a)] = (q[s, a] - gamma * q[sn, an]) - r
+        expected[s * 2 + a] = (q[s, a] - gamma * q[sn, an]) - r
         np.testing.assert_array_equal(g, expected)
 
 

@@ -9,7 +9,9 @@ from mfglearn.envs import (
     sioux_falls_env,
     toy_finite_env,
 )
+from mfglearn.learners import _OnlineRun, _Recorder
 from mfglearn.lfa import (
+    FeatureMap,
     one_hot_feature_map,
     one_hot_measure_basis,
     tan_normal_basis,
@@ -22,15 +24,16 @@ from mfglearn.metrics import (
     exploitability,
     induced_population,
     mean_path_semigradient,
-    mse,
     policy_evaluation,
     resample_masses,
     span_residual,
     stationary_distribution,
+    q_table,
     value_iteration,
 )
-from mfglearn.policy import argmax_operator, policy_matrix
+from mfglearn.policy import argmax_operator, policy_matrix, softmax_operator
 
+from .conftest import identity_features
 from .test_envs import eigen_stationary
 
 
@@ -69,25 +72,39 @@ def cycle_env(n):
 # -- mse ----------------------------------------------------------------------
 
 
+def recorded_mse(env, eta, mu_ref, basis=None):
+    """The MSE a run's recorder writes while its population weights are eta."""
+    basis = basis or one_hot_measure_basis(env.states)
+    run = _OnlineRun(env, one_hot_feature_map(env.states, env.actions), basis,
+                     argmax_operator(), env.gamma, 1.0)
+    run.eta = np.array(eta)
+    rec = _Recorder(run, 1, None, np.asarray(mu_ref), None, False)
+    rec.snapshot(0)
+    return rec.mse[0]
+
+
 def test_mse_zero_on_equal():
     m = np.array([0.25, 0.75])
-    assert mse(m, m) == 0.0
+    assert recorded_mse(toy_finite_env(2, 1, seed=0), m, m) == 0.0
 
 
 def test_mse_opposite_vertices():
-    assert mse(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
+    assert recorded_mse(toy_finite_env(2, 1, seed=0), [1.0, 0.0], [0.0, 1.0]) == 2.0
 
 
 def test_mse_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        mse(np.ones(3) / 3, np.ones(4) / 4)
+        recorded_mse(toy_finite_env(3, 1, seed=0), np.ones(3) / 3, np.ones(4) / 4)
 
 
 def test_mse_composes_with_represented_measure():
-    basis = tan_normal_basis(StateSpace(size=50, kind="grid", delta=0.02), 2)
+    env = ring_road_env(50)
+    basis = tan_normal_basis(env.states, 2)
     eta = np.array([0.3, 0.7])
     ref = np.full(50, 0.02)
-    assert mse(basis.represent(eta), ref) >= 0.0
+    got = recorded_mse(env, eta, ref, basis)
+    assert got == pytest.approx(((basis.represent(eta) - ref) ** 2).sum(), rel=1e-14)
+    assert got > 0.0
 
 
 # -- induced populations -------------------------------------------------------
@@ -398,6 +415,48 @@ def test_mean_path_semigradient_detects_perturbation(toy_env, toy_reference):
     xi = UnifiedParameter(theta=theta, eta=toy_reference.mu_star)
     g = mean_path_semigradient(xi, toy_env, phi, basis, pol)
     assert np.linalg.norm(g) > 0.0
+
+
+def test_dense_identity_features_match_one_hot(toy_env, toy_reference):
+    # q_table and the certificate on the feature path equal the tabular ones;
+    # the certificate as numbers: a pair of zero weight and negative TD error
+    # gives -0.0 on the tabular path and +0.0 from the tensordot
+    one_hot, dense = one_hot_feature_map(toy_env.states, toy_env.actions), identity_features(3, 2)
+    basis = one_hot_measure_basis(toy_env.states)
+    rng = np.random.default_rng(8)
+    thetas = [toy_reference.q_star.ravel(), toy_reference.q_star.ravel() + 0.1 * np.eye(6)[2],
+              rng.normal(size=6)]
+    for theta in thetas:
+        assert q_table(theta, dense, toy_env).tobytes() == q_table(theta, one_hot, toy_env).tobytes()
+        for eta in (toy_reference.mu_star, rng.dirichlet(np.ones(3))):
+            for pol in (argmax_operator(), softmax_operator(50.0)):
+                xi = UnifiedParameter(theta=theta, eta=eta)
+                tabular = mean_path_semigradient(xi, toy_env, one_hot, basis, pol)
+                general = mean_path_semigradient(xi, toy_env, dense, basis, pol)
+                np.testing.assert_array_equal(general, tabular)
+
+
+def test_low_rank_features_match_the_loop_reference(toy_env):
+    # q(s, a) = <phi(s, a), theta>, and the certificate's value block is
+    # sum_{s,a} w(s, a) td(s, a) phi(s, a): the tabular block mapped by phi
+    rng = np.random.default_rng(9)
+    phi = FeatureMap(rng.normal(size=(3, 2, 4)) / 3.0)
+    theta = rng.normal(size=4)
+    q = q_table(theta, phi, toy_env)
+    loop = [[float(phi.features[s, a] @ theta) for a in range(2)] for s in range(3)]
+    np.testing.assert_allclose(q, loop, rtol=1e-14, atol=1e-15)
+    basis = one_hot_measure_basis(toy_env.states)
+    one_hot = one_hot_feature_map(toy_env.states, toy_env.actions)
+    eta = rng.dirichlet(np.ones(3))
+    for pol in (argmax_operator(), softmax_operator(50.0)):
+        general = mean_path_semigradient(UnifiedParameter(theta, eta), toy_env, phi, basis, pol)
+        tabular = mean_path_semigradient(UnifiedParameter(q.ravel(), eta), toy_env, one_hot,
+                                         basis, pol)
+        expected = np.zeros(4)
+        for k, (s, a) in enumerate(np.ndindex(3, 2)):
+            expected += tabular[k] * phi.features[s, a]
+        np.testing.assert_allclose(general[:4], expected, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(general[4:], tabular[6:])
 
 
 # -- span residual ----------------------------------------------------------------
