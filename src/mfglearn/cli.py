@@ -258,18 +258,22 @@ def ensure_reference(
     return ref
 
 
-def _run_one(
-    spec: ExperimentSpec,
-    env: EnvironmentModel,
-    seed: int,
-    mu_ref: np.ndarray,
-    ref_map=None,
-    basis=None,
-) -> RunRecord:
-    cfg = make_run_config(spec, env, seed)
-    if basis is None and spec.basis == "tan-normal":
-        basis = tan_normal_basis(env.states, spec.basis_d2, c=spec.basis_c, v=spec.basis_v)
-    if spec.algorithm == "semisgd":
+def _run_configs(spec: ExperimentSpec, env: EnvironmentModel) -> List[RunConfig]:
+    """One run config per seed.  Commands build them before they solve a
+    reference or make a directory, so a config error leaves nothing behind."""
+    return [make_run_config(spec, env, seed) for seed in spec.effective_seeds]
+
+
+def _spec_basis(spec: ExperimentSpec, env: EnvironmentModel):
+    """The measure basis the spec names; None stands for one-hot."""
+    if spec.basis == "tan-normal":
+        return tan_normal_basis(env.states, spec.basis_d2, c=spec.basis_c, v=spec.basis_v)
+    return None
+
+
+def _run_one(env: EnvironmentModel, cfg: RunConfig, mu_ref: np.ndarray,
+             ref_map=None, basis=None) -> RunRecord:
+    if cfg.algorithm == "semisgd":
         return run_semisgd(env, cfg, basis=basis, mu_ref=mu_ref, ref_map=ref_map)
     return run_online_fpi(env, cfg, basis=basis, mu_ref=mu_ref, ref_map=ref_map)
 
@@ -333,17 +337,19 @@ def cmd_reference(spec: ExperimentSpec) -> Path:
 def cmd_run(spec: ExperimentSpec) -> Path:
     """Run every seed and emit per-seed plus aggregated CSV files."""
     env = build_env(spec)
+    cfgs = _run_configs(spec, env)
+    basis = _spec_basis(spec, env)
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = ensure_reference(spec, env, out_dir)
     records = []
-    for seed in spec.effective_seeds:
-        record = _run_one(spec, env, seed, ref.mu_star)
+    for cfg in cfgs:
+        record = _run_one(env, cfg, ref.mu_star, basis=basis)
         _check_finite(record.mse)
         if record.expl_values is not None:
             _check_finite(record.expl_values)
         _write_csv(
-            out_dir / f"run_seed{seed}.csv",
+            out_dir / f"run_seed{cfg.seed}.csv",
             ["step", "mse", "exploitability"],
             _record_rows(record),
         )
@@ -373,15 +379,16 @@ def cmd_sweep_k(spec: ExperimentSpec, k_list: List[int]) -> Path:
     written = bool(spec.expl_every) and spec.steps % spec.expl_every == 0
     spec = replace(spec, expl_every=spec.steps if written else None)
     env = build_env(spec)
+    sweep = [(k, _run_configs(replace(spec, inner_k=int(k)), env)) for k in k_list]
+    basis = _spec_basis(spec, env)
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = ensure_reference(spec, env, out_dir)
     rows = []
-    for k in k_list:
-        k_spec = replace(spec, inner_k=int(k))
+    for k, cfgs in sweep:
         finals, expls = [], []
-        for seed in spec.effective_seeds:
-            record = _run_one(k_spec, env, seed, ref.mu_star)
+        for cfg in cfgs:
+            record = _run_one(env, cfg, ref.mu_star, basis=basis)
             finals.append(record.mse[-1])
             if record.expl_steps is not None and record.expl_steps[-1] == record.steps[-1]:
                 expls.append(record.expl_values[-1])
@@ -427,17 +434,19 @@ def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
         expl_every=None,
     )
     env_fine = build_env(spec)
+    fine_cfgs = _run_configs(spec, env_fine)
+    coarse = [ring_road_env(int(d2)) for d2 in d2_list]
+    coarse_cfgs = [_run_configs(spec, env) for env in coarse]
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = ensure_reference(spec, env_fine, out_dir)
     rows = []
-    for d2 in d2_list:
+    for d2, env_coarse, cfgs in zip(d2_list, coarse, coarse_cfgs):
         # (a) grid discretization: plain tabular run on the coarsened game
-        env_coarse = ring_road_env(int(d2))
         ref_map = resample_masses(int(d2), COMPARE_LFA_GRID)
         finals = []
-        for seed in spec.effective_seeds:
-            record = _run_one(spec, env_coarse, seed, ref.mu_star, ref_map=ref_map)
+        for cfg in cfgs:
+            record = _run_one(env_coarse, cfg, ref.mu_star, ref_map=ref_map)
             finals.append(record.mse[-1])
         finals = np.array(finals)
         _check_finite(finals)
@@ -447,8 +456,8 @@ def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
         # (b) PA-LFA: fine grid with a tan-normal measure basis
         basis = tan_normal_basis(env_fine.states, int(d2), c=spec.basis_c, v=spec.basis_v)
         finals = []
-        for seed in spec.effective_seeds:
-            record = _run_one(spec, env_fine, seed, ref.mu_star, basis=basis)
+        for cfg in fine_cfgs:
+            record = _run_one(env_fine, cfg, ref.mu_star, basis=basis)
             finals.append(record.mse[-1])
         finals = np.array(finals)
         _check_finite(finals)

@@ -1,13 +1,14 @@
 """Online learners and the model-based reference solver.
 
-``run_semisgd`` performs the single-loop, uni-timescale update: every online
-observation updates the value-function weights and the population weights
-simultaneously, with the same step size, followed by the ball and simplex
-projections.  ``run_online_fpi`` is the forward-backward baseline: each
-outer loop advances the chain K steps under a frozen policy while updating
-only the population estimate, then replays the same K observations to
-update only the value function.  With K = 1 the two produce identical
-parameter trajectories under the same seed.
+Both online learners run one sample loop, ``_run_passes``, in passes of K
+samples.  A pass draws its samples under the policy of the Q it starts from
+and updates the population weights after each sample (forward pass), then
+replays the same samples with the same step sizes to update the value
+weights (backward pass).  ``run_online_fpi`` is this forward-backward
+baseline; ``run_semisgd`` is the case K = 1, in which every observation
+updates the value and population weights with the same step size, followed
+by the ball and simplex projections.  So online FPI with K = 1 retraces
+SemiSGD bit for bit under the same seed.
 
 ``model_based_fpi_fp`` computes the reference equilibrium by alternating
 exact best responses (policy iteration), induced-population computation,
@@ -93,12 +94,11 @@ class RunRecord:
 
 
 class _OnlineRun:
-    """Shared chain/update plumbing for SemiSGD and online FPI.
+    """Chain and update plumbing of the sample loop ``_run_passes``.
 
     Holds flat parameter vectors plus a tabular (S, A) view of theta when
     the feature map is one-hot, the current chain position, and the run's
-    generator.  Both learners update through these methods, so they stay
-    bitwise comparable.  General bases and feature maps use the
+    generator.  General bases and feature maps use the
     semi-gradients of ``lfa``; the one-hot cases apply the same rules at a
     single index.
     """
@@ -123,18 +123,13 @@ class _OnlineRun:
         self.tabular_q = phi.one_hot
         self.tabular_m = basis.identity_gram and basis.d2 == env.n_states
         self.feasible = env.actions.feasible
+        # theta is only ever written in place, so the tabular view stays bound
         self.theta = np.zeros(phi.d1)
+        self.theta2d = self.theta.reshape(env.n_states, env.n_actions) if self.tabular_q else None
         self.eta = np.full(basis.d2, 1.0 / basis.d2)
-        self.theta2d = None
-        self._bind_theta_view()
         self.s = 0
         self.a = 0
-        self.t = 0
         self.rng = None
-
-    def _bind_theta_view(self):
-        if self.tabular_q:
-            self.theta2d = self.theta.reshape(self.env.n_states, self.env.n_actions)
 
     def init_from_seed(self, seed: int):
         """Default initialization: zero Q, random simplex population,
@@ -144,8 +139,7 @@ class _OnlineRun:
         self.theta[:] = 0.0
         self.eta = project_simplex(rng.random(self.basis.d2))
         self.s = sample_action(self.env.initial_state, rng)
-        self.a = self._draw_action(self.q_table_now(), self.s, rng)
-        self.t = 0
+        self.a = self._draw_action(self.q_table_now(), self.s, rng, {})
 
     # -- policy / sampling helpers -------------------------------------
 
@@ -154,24 +148,17 @@ class _OnlineRun:
             return self.theta2d
         return q_table(self.theta, self.phi, self.env)
 
-    def _policy_row(self, q2d: np.ndarray, s: int) -> np.ndarray:
-        if self.feasible is None:
-            return policy_row(self.pol, q2d[s])
-        return policy_row(self.pol, q2d[s, self.feasible[s]])
-
-    def _draw_action(
-        self, q2d: np.ndarray, s: int, rng: np.random.Generator, rows: Optional[dict] = None
-    ) -> int:
-        """On-policy action at s.  ``rows`` caches policy rows by state and
-        is only valid while ``q2d`` does not change."""
-        if rows is None:
-            row = self._policy_row(q2d, s)
-        else:
-            row = rows.get(s)
-            if row is None:
-                row = rows[s] = self._policy_row(q2d, s)
+    def _draw_action(self, q2d: np.ndarray, s: int, rng: np.random.Generator, rows: dict) -> int:
+        """On-policy action at s, remapped to the feasible actions there.
+        ``rows`` caches policy rows by state and is only valid while ``q2d``
+        does not change."""
+        feasible = self.feasible
+        row = rows.get(s)
+        if row is None:
+            q_row = q2d[s] if feasible is None else q2d[s, feasible[s]]
+            row = rows[s] = policy_row(self.pol, q_row)
         j = sample_action(row, rng)
-        return j if self.feasible is None else int(self.feasible[s][j])
+        return j if feasible is None else int(feasible[s][j])
 
     def represent(self) -> np.ndarray:
         if self.tabular_m:
@@ -180,13 +167,12 @@ class _OnlineRun:
 
     # -- chain and updates ----------------------------------------------
 
-    def chain_step(self, q2d_policy: np.ndarray, rows: Optional[dict] = None):
+    def chain_step(self, q2d_policy: np.ndarray, rows: dict):
         """Advance the chain one transition; the chain is never reset.
 
-        The next action is drawn from the supplied Q table (the current one
-        for SemiSGD, the frozen one inside an FPI pass, with that pass's
-        policy-row cache ``rows``).  Returns the observation
-        (s, a, r, s_next, a_next).
+        The next action is drawn from the supplied Q table, the one the
+        current pass started from, with that pass's policy-row cache
+        ``rows``.  Returns the observation (s, a, r, s_next, a_next).
         """
         env = self.env
         m = self.represent()
@@ -195,7 +181,6 @@ class _OnlineRun:
         s_next = env.sample_next(s, a, m, self.rng)
         a_next = self._draw_action(q2d_policy, s_next, self.rng, rows)
         self.s, self.a = s_next, a_next
-        self.t += 1
         return s, a, r, s_next, a_next
 
     def update_eta(self, s_next: int, alpha: float):
@@ -294,45 +279,6 @@ def _defaults(env, cfg, phi, basis, pol):
     return phi, basis, pol
 
 
-def run_semisgd(
-    env: EnvironmentModel,
-    cfg: RunConfig,
-    phi: Optional[FeatureMap] = None,
-    basis: Optional[MeasureBasis] = None,
-    pol: Optional[PolicyOperator] = None,
-    mu_ref: Optional[np.ndarray] = None,
-    ref_map: Optional[np.ndarray] = None,
-    record_params: bool = False,
-    project: bool = True,
-) -> RunRecord:
-    """T sequential SemiSGD steps from the default initialization.
-
-    Snapshots are taken at t = 0, every ``cfg.cadence`` steps, and at t = T.
-    The record is a deterministic function of (env, cfg).
-    """
-    phi, basis, pol = _defaults(env, cfg, phi, basis, pol)
-    run = _OnlineRun(env, phi, basis, pol, cfg.gamma, cfg.ball_radius, project=project)
-    run.init_from_seed(cfg.seed)
-    rec = _Recorder(run, cfg.cadence, cfg.expl_every, mu_ref, ref_map, record_params)
-    rec.snapshot(0)
-    total = cfg.total_steps
-    schedule = cfg.schedule
-    for t in range(total):
-        alpha = step_size(schedule, t)
-        s, a, r, s_next, a_next = run.chain_step(run.q_table_now())
-        run.update_eta(s_next, alpha)
-        run.update_theta(s, a, r, s_next, a_next, alpha)
-        rec.record_param()
-        if run.t != total:
-            rec.maybe_snapshot(run.t)
-    if total > 0:
-        rec.snapshot(total)
-    return rec.to_record(cfg.seed, "semisgd")
-
-
-_VARIANTS = ("vanilla", "fp", "md", "er")
-
-
 def fp_mix(eta_hist: np.ndarray, eta_new: np.ndarray, alpha: float) -> np.ndarray:
     """Fictitious-play damping of the population estimate toward its history,
     followed by l1 renormalization.  alpha = 1 keeps the fresh estimate."""
@@ -347,10 +293,96 @@ def md_mix(theta_hist: np.ndarray, theta_new: np.ndarray, alpha: float) -> np.nd
     return (1.0 - alpha) * theta_hist + alpha * theta_new
 
 
+def _run_passes(
+    env: EnvironmentModel,
+    cfg: RunConfig,
+    algorithm: str,
+    k: int,
+    phi: Optional[FeatureMap],
+    basis: Optional[MeasureBasis],
+    pol: Optional[PolicyOperator],
+    mu_ref: Optional[np.ndarray],
+    ref_map: Optional[np.ndarray],
+    record_params: bool,
+    project: bool = True,
+) -> RunRecord:
+    """The sample loop of both learners: T samples in passes of K.
+
+    The forward pass never writes theta, so each pass computes the policy
+    row of a visited state once, from the Q the pass started from, and
+    reuses it.  A snapshot inside a pass sees that frozen theta; one at a
+    pass boundary, t = T included, is taken after the pass's value update
+    and mixing.  A parameter is recorded after every pass.
+    """
+    phi, basis, pol = _defaults(env, cfg, phi, basis, pol)
+    if algorithm == "fpi-er":
+        if pol.kind != "softmax":
+            raise ConfigError("the ER variant needs a softmax policy operator")
+        pol = softmax_operator(pol.inverse_temperature / ER_TEMPERATURE_DIVISOR)
+    run = _OnlineRun(env, phi, basis, pol, cfg.gamma, cfg.ball_radius, project=project)
+    run.init_from_seed(cfg.seed)
+    rec = _Recorder(run, cfg.cadence, cfg.expl_every, mu_ref, ref_map, record_params)
+    rec.snapshot(0)
+    schedule = cfg.schedule
+    total = cfg.total_steps
+    fp, md = algorithm == "fpi-fp", algorithm == "fpi-md"
+    eta_hist = run.eta.copy() if fp else None
+    theta_hist = run.theta.copy() if md else None
+
+    for outer, start in enumerate(range(0, total, k)):
+        end = min(start + k, total)
+        q = run.q_table_now()
+        rows = {}  # policy rows of q, for this forward pass only
+        obs = []
+        for t in range(start, end):
+            alpha = step_size(schedule, t)
+            ob = run.chain_step(q, rows)
+            run.update_eta(ob[3], alpha)
+            obs.append((ob, alpha))
+            if t + 1 < end:
+                rec.maybe_snapshot(t + 1)
+        if fp:
+            run.eta = fp_mix(eta_hist, run.eta, step_size(schedule, outer))
+            eta_hist = run.eta.copy()
+        for ob, alpha in obs:
+            run.update_theta(*ob, alpha)
+        if md:
+            run.theta[:] = md_mix(theta_hist, run.theta, step_size(schedule, outer))
+            theta_hist = run.theta.copy()
+        rec.record_param()
+        if end == total:
+            rec.snapshot(total)
+        else:
+            rec.maybe_snapshot(end)
+    return rec.to_record(cfg.seed, algorithm)
+
+
+def run_semisgd(
+    env: EnvironmentModel,
+    cfg: RunConfig,
+    phi: Optional[FeatureMap] = None,
+    basis: Optional[MeasureBasis] = None,
+    pol: Optional[PolicyOperator] = None,
+    mu_ref: Optional[np.ndarray] = None,
+    ref_map: Optional[np.ndarray] = None,
+    record_params: bool = False,
+    project: bool = True,
+) -> RunRecord:
+    """T sequential SemiSGD steps from the default initialization.
+
+    This is the sample loop with K = 1: each sample updates the population
+    and then the value weights with the same step size, and every snapshot
+    sees both updates.  Snapshots are taken at t = 0, every ``cfg.cadence``
+    steps, and at t = T.  ``project = False`` turns off the ball and simplex
+    projections.  The record is a deterministic function of (env, cfg).
+    """
+    return _run_passes(env, cfg, "semisgd", 1, phi, basis, pol, mu_ref, ref_map,
+                       record_params, project)
+
+
 def run_online_fpi(
     env: EnvironmentModel,
     cfg: RunConfig,
-    variant: Optional[str] = None,
     phi: Optional[FeatureMap] = None,
     basis: Optional[MeasureBasis] = None,
     pol: Optional[PolicyOperator] = None,
@@ -358,91 +390,27 @@ def run_online_fpi(
     ref_map: Optional[np.ndarray] = None,
     record_params: bool = False,
 ) -> RunRecord:
-    """Online fixed-point iteration with K inner samples per outer loop.
+    """Online fixed-point iteration, ``cfg.algorithm``, with K = ``cfg.inner_k``
+    samples per outer loop.
 
     Each outer loop freezes the policy at the current Q, advances the chain
     K steps while updating only the population weights (forward pass), then
     replays the same K observations in order to update only the value
     weights with the rewards as observed (backward pass).  The FP variant
     damps the population toward its history after the forward pass, MD
-    damps Q after the backward pass, and ER runs with the softmax inverse
-    temperature divided by 1e5.
-
-    Each forward pass computes the policy row of a visited state once, by
-    the same ``policy_row`` call on the same frozen Q row, and reuses it for
-    later draws there; the rows are dropped before the backward pass, so
-    every draw and every bit of the trajectory are unchanged.  Step sizes
-    are likewise computed once and replayed in the backward pass.
+    damps Q after the backward pass, each with the step size at the outer
+    index, and ER runs with the softmax inverse temperature divided by 1e5.
+    A snapshot at the end of an outer loop is taken after its value update
+    and mixing; one inside a forward pass sees the frozen Q.  The last loop
+    is shorter when K does not divide T.
     """
-    if variant is None:
-        if not cfg.algorithm.startswith("fpi-"):
-            raise ConfigError(f"config algorithm {cfg.algorithm!r} is not an FPI variant")
-        variant = cfg.algorithm.split("-", 1)[1]
-    if variant not in _VARIANTS:
-        raise ConfigError(f"unknown FPI variant {variant!r}")
-    k = cfg.inner_k
-    if k is None or k < 1:
-        raise ConfigError("online FPI needs inner_k >= 1")
+    if not cfg.algorithm.startswith("fpi-"):
+        raise ConfigError(f"config algorithm {cfg.algorithm!r} is not an FPI variant")
+    k = cfg.inner_k  # RunConfig holds an FPI variant's inner_k at >= 1
     if k > cfg.total_steps:
         raise ConfigError(f"inner_k = {k} exceeds the sample budget T = {cfg.total_steps}")
-
-    phi, basis, pol = _defaults(env, cfg, phi, basis, pol)
-    if variant == "er":
-        if pol.kind != "softmax":
-            raise ConfigError("the ER variant needs a softmax policy operator")
-        pol = softmax_operator(pol.inverse_temperature / ER_TEMPERATURE_DIVISOR)
-
-    run = _OnlineRun(env, phi, basis, pol, cfg.gamma, cfg.ball_radius)
-    run.init_from_seed(cfg.seed)
-    rec = _Recorder(run, cfg.cadence, cfg.expl_every, mu_ref, ref_map, record_params)
-    rec.snapshot(0)
-    schedule = cfg.schedule
-    total = cfg.total_steps
-
-    eta_hist = run.eta.copy() if variant == "fp" else None
-    theta_hist = run.theta.copy() if variant == "md" else None
-
-    obs_s = np.empty(k, dtype=int)
-    obs_a = np.empty(k, dtype=int)
-    obs_r = np.empty(k)
-    obs_sn = np.empty(k, dtype=int)
-    obs_an = np.empty(k, dtype=int)
-    obs_alpha = np.empty(k)
-
-    outer = 0
-    while run.t < total:
-        k_eff = min(k, total - run.t)
-        frozen_q = run.q_table_now().copy()
-        rows = {}  # policy rows of frozen_q, for this forward pass only
-        base_t = run.t
-        # forward pass: population updates along the live chain
-        for i in range(k_eff):
-            alpha = step_size(schedule, base_t + i)
-            s, a, r, s_next, a_next = run.chain_step(frozen_q, rows)
-            run.update_eta(s_next, alpha)
-            obs_s[i], obs_a[i], obs_r[i] = s, a, r
-            obs_sn[i], obs_an[i] = s_next, a_next
-            obs_alpha[i] = alpha
-            if run.t != total:
-                rec.maybe_snapshot(run.t)
-        del rows
-        if variant == "fp":
-            run.eta = fp_mix(eta_hist, run.eta, step_size(schedule, outer))
-            eta_hist = run.eta.copy()
-        # backward pass: replay the same observations for the value update
-        for i in range(k_eff):
-            run.update_theta(
-                int(obs_s[i]), int(obs_a[i]), float(obs_r[i]),
-                int(obs_sn[i]), int(obs_an[i]), float(obs_alpha[i]),
-            )
-        if variant == "md":
-            run.theta = md_mix(theta_hist, run.theta, step_size(schedule, outer))
-            run._bind_theta_view()
-            theta_hist = run.theta.copy()
-        rec.record_param()
-        outer += 1
-    rec.snapshot(total)
-    return rec.to_record(cfg.seed, f"fpi-{variant}")
+    return _run_passes(env, cfg, cfg.algorithm, k, phi, basis, pol, mu_ref, ref_map,
+                       record_params)
 
 
 def model_based_fpi_fp(

@@ -97,7 +97,7 @@ def induced_population(pi: np.ndarray, env: EnvironmentModel) -> np.ndarray:
     """
     n = env.n_states
     if env.population_independent:
-        return _stationary_of_dense(dense_policy_kernel(pi, env, env.initial_state))
+        return stationary_distribution(pi, env, env.initial_state)
     m = np.full(n, 1.0 / n)
     damped = False
     sweeps = 0

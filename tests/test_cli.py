@@ -91,6 +91,45 @@ def test_cmd_run_schema_identical_across_algorithms(tmp_path):
     assert read(a / "aggregate.csv").splitlines()[0] == read(b / "aggregate.csv").splitlines()[0]
 
 
+@pytest.mark.parametrize("env", ["toy", "ring-road"])
+def test_cmd_run_fpi_k1_writes_the_semisgd_files(tmp_path, env):
+    # with K = 1 every step ends a pass, so every snapshot, exploitability
+    # included, sees both updates of that step, as SemiSGD's do
+    common = dict(env=env, steps=400, alpha=1e-2, seeds=(0, 1), cadence=50,
+                  expl_every=100, inner_k=1, reference_outer_iters=50)
+    semisgd = cmd_run(ExperimentSpec(algorithm="semisgd", out=str(tmp_path / "semisgd"),
+                                     **common))
+    fpi = cmd_run(ExperimentSpec(algorithm="fpi-vanilla", reference=str(semisgd / "reference"),
+                                 out=str(tmp_path / "fpi"), **common))
+    names = ["aggregate.csv", "run_seed0.csv", "run_seed1.csv"]
+    assert sorted(path.name for path in fpi.glob("*.csv")) == names
+    for name in names:
+        assert read(fpi / name) == read(semisgd / name), name
+
+
+@pytest.mark.parametrize("algorithm", ["semisgd", "fpi-vanilla"])
+@pytest.mark.parametrize("env", ["flocking", "sioux-falls"])
+def test_cmd_run_end_to_end_on_flocking_and_sioux_falls(tmp_path, env, algorithm):
+    # reduced sizes: the paper's other two games through the online learners,
+    # Sioux Falls with its per-state feasible actions
+    common = dict(env=env, algorithm=algorithm, inner_k=10, steps=3000, alpha=1e-2,
+                  cadence=500, expl_every=1500, reference_outer_iters=3)
+    out = cmd_run(ExperimentSpec(seeds=(0, 1), out=str(tmp_path / "both"), **common))
+    for name in ("aggregate.csv", "run_seed0.csv", "run_seed1.csv"):
+        header, *rows = [line.split(",") for line in read(out / name).splitlines()]
+        assert [row[0] for row in rows] == [str(t) for t in range(0, 3001, 500)]
+        mse = [h for h in header if not h.startswith("expl")]
+        for row in rows:
+            filled = [h for h, cell in zip(header, row) if cell]
+            assert filled == (header if row[0] in ("0", "1500", "3000") else mse), row
+            assert all(np.isfinite(float(cell)) for cell in row if cell)
+    for seed in (0, 1):
+        single = cmd_run(ExperimentSpec(seeds=(0,), seed_offset=seed,
+                                        reference=str(out / "reference"),
+                                        out=str(tmp_path / f"single{seed}"), **common))
+        assert read(single / f"run_seed{seed}.csv") == read(out / f"run_seed{seed}.csv")
+
+
 def test_cmd_run_all_cells_finite(tmp_path):
     out = cmd_run(toy_spec(tmp_path / "run", expl_every=200))
     for line in read(out / "aggregate.csv").splitlines()[1:]:
@@ -298,6 +337,7 @@ def test_tan_normal_basis_rejected_for_graph_envs(tmp_path):
                                   "expl_every": None, "reference_outer_iters": 20,
                                   "out": str(tmp_path / "o")}))
     assert main(["run", "--config", str(config)]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def _counting(monkeypatch, module, name, log):
@@ -371,11 +411,18 @@ def test_compare_lfa_computes_no_exploitability(tmp_path, monkeypatch, ring200_r
     (["sweep-k", "--env", "toy", "--k-list", "1,0"], "run_online_fpi"),
     (["sweep-k", "--env", "toy", "--k-list", "1,1000"], "run_online_fpi"),
     (["compare-lfa", "--env", "ring-road", "--d2-list", "5,0"], "run_semisgd"),
+    (["run", "--env", "toy", "--algo", "bogus"], "run_online_fpi"),
+    (["run", "--env", "toy", "--alpha", "1.5"], "run_semisgd"),
+    (["sweep-k", "--env", "toy", "--k-list", "1,10", "--alpha", "1.5"], "run_online_fpi"),
+    (["compare-lfa", "--env", "ring-road", "--alpha", "1.5"], "run_semisgd"),
 ])
 def test_sweep_lists_are_validated_before_the_first_run(tmp_path, monkeypatch, argv, runner):
+    # sweep lists and run configs alike: a config error solves no reference
+    # and leaves no output directory behind
     def never(*args, **kwargs):
-        raise AssertionError("ran before the list was validated")
+        raise AssertionError("ran before the spec was validated")
 
     monkeypatch.setattr(cli, runner, never)
     monkeypatch.setattr(cli, "ensure_reference", never)
     assert main([*argv, "--steps", "100", "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()

@@ -72,7 +72,7 @@ def semisgd_step(env, eta, s, alpha):
                               argmax_operator(), env.gamma, np.inf)
     run.eta = np.array(eta)
     run.s, run.a, run.rng = s, 0, np.random.default_rng(0)
-    s, a, r, s_next, a_next = run.chain_step(run.q_table_now())
+    s, a, r, s_next, a_next = run.chain_step(run.q_table_now(), {})
     run.update_eta(s_next, alpha)
     run.update_theta(s, a, r, s_next, a_next, alpha)
     return run
@@ -145,6 +145,29 @@ def test_run_online_fpi_k1_equals_semisgd(toy_env):
         for xa, xb in zip(a.param_trace, b.param_trace):
             np.testing.assert_array_equal(xa.theta, xb.theta)
             np.testing.assert_array_equal(xa.eta, xb.eta)
+
+
+@pytest.mark.parametrize("algorithm", ["fpi-fp", "fpi-md"])
+def test_pass_end_snapshots_follow_the_value_update_and_mixing(toy_env, toy_reference, algorithm):
+    # K divides the cadence, so every snapshot at t = jK > 0 ends pass j and
+    # must describe the parameter recorded after that pass's mixing
+    from dataclasses import replace
+
+    from mfglearn.metrics import exploitability
+    from mfglearn.policy import policy_matrix
+
+    k = 20
+    cfg = replace(small_cfg(toy_env, steps=400, algorithm=algorithm, inner_k=k), expl_every=100)
+    mu_ref = toy_reference.mu_star
+    rec = run_online_fpi(toy_env, cfg, mu_ref=mu_ref, record_params=True)
+    pol = learners._defaults(toy_env, cfg, None, None, None)[2]
+    assert rec.steps.tolist() == rec.expl_steps.tolist() == [0, 100, 200, 300, 400]
+    for i, t in enumerate(rec.steps.tolist()[1:], start=1):
+        xi = rec.param_trace[t // k - 1]
+        d = xi.eta - mu_ref
+        assert rec.mse[i] == d @ d, t
+        pi = policy_matrix(pol, xi.theta.reshape(toy_env.n_states, toy_env.n_actions))
+        assert rec.expl_values[i] == exploitability(pi, toy_env), t
 
 
 def test_run_online_fpi_partial_final_loop(toy_env):
@@ -308,8 +331,9 @@ def test_model_based_fpi_fp_determinism(toy_env):
 
 
 def _uncached_fpi_trace(env, cfg, variant):
-    """run_online_fpi's loop without its per-pass row cache: every draw
-    computes its policy row, and the backward pass recomputes step sizes."""
+    """Online FPI written out apart from the learners' shared pass loop and
+    without its per-pass row cache: every draw computes its policy row from
+    a copy of the frozen Q, and the backward pass recomputes step sizes."""
     from mfglearn import learners
     from mfglearn.policy import softmax_operator
 
@@ -321,13 +345,13 @@ def _uncached_fpi_trace(env, cfg, variant):
     eta_hist, theta_hist = run.eta.copy(), run.theta.copy()
     trace = []
     outer = 0
-    while run.t < cfg.total_steps:
-        k_eff = min(cfg.inner_k, cfg.total_steps - run.t)
+    base_t = 0
+    while base_t < cfg.total_steps:
+        k_eff = min(cfg.inner_k, cfg.total_steps - base_t)
         frozen_q = run.q_table_now().copy()
-        base_t = run.t
         obs = []
         for i in range(k_eff):
-            obs.append(run.chain_step(frozen_q))
+            obs.append(run.chain_step(frozen_q, {}))
             run.update_eta(obs[-1][3], step_size(cfg.schedule, base_t + i))
         if variant == "fp":
             run.eta = fp_mix(eta_hist, run.eta, step_size(cfg.schedule, outer))
@@ -335,11 +359,12 @@ def _uncached_fpi_trace(env, cfg, variant):
         for i, ob in enumerate(obs):
             run.update_theta(*ob, step_size(cfg.schedule, base_t + i))
         if variant == "md":
-            run.theta = md_mix(theta_hist, run.theta, step_size(cfg.schedule, outer))
-            run._bind_theta_view()
+            # in place: the tabular (S, A) view of theta stays bound
+            run.theta[:] = md_mix(theta_hist, run.theta, step_size(cfg.schedule, outer))
             theta_hist = run.theta.copy()
         trace.append(run.parameter())
         outer += 1
+        base_t += k_eff
     return trace
 
 
@@ -356,26 +381,29 @@ def test_run_online_fpi_row_cache_is_bit_identical(env_tag, steps):
         "sioux-falls": sioux_falls_env,
     }[env_tag]()
     beta = DEFAULT_INVERSE_TEMPERATURE[env_tag]
-    for variant in ("vanilla", "fp", "md", "er"):
-        for k in (1, 2, 10, 100):
-            cfg = RunConfig(
-                total_steps=steps,
-                schedule=StepSizeSchedule("constant", 0.05),
-                gamma=env.gamma,
-                inverse_temperature=beta,
-                ball_radius=default_ball_radius(env),
-                seed=k,
-                inner_k=k,
-                algorithm=f"fpi-{variant}",
-                cadence=100,
-                expl_every=None,
-            )
-            got = run_online_fpi(env, cfg, record_params=True).param_trace
-            want = _uncached_fpi_trace(env, cfg, variant)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.theta.tobytes() == w.theta.tobytes(), (variant, k)
-                assert g.eta.tobytes() == w.eta.tobytes(), (variant, k)
+    # SemiSGD is the shared loop at K = 1; the reference loop is not
+    cases = [(f"fpi-{v}", k) for v in ("vanilla", "fp", "md", "er") for k in (1, 2, 10, 100)]
+    for algorithm, k in cases + [("semisgd", 1)]:
+        cfg = RunConfig(
+            total_steps=steps,
+            schedule=StepSizeSchedule("constant", 0.05),
+            gamma=env.gamma,
+            inverse_temperature=beta,
+            ball_radius=default_ball_radius(env),
+            seed=k,
+            inner_k=k,
+            algorithm=algorithm,
+            cadence=100,
+            expl_every=None,
+        )
+        learn = run_semisgd if algorithm == "semisgd" else run_online_fpi
+        got = learn(env, cfg, record_params=True).param_trace
+        variant = "vanilla" if algorithm == "semisgd" else algorithm[len("fpi-"):]
+        want = _uncached_fpi_trace(env, cfg, variant)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.theta.tobytes() == w.theta.tobytes(), (algorithm, k)
+            assert g.eta.tobytes() == w.eta.tobytes(), (algorithm, k)
 
 
 def test_run_online_fpi_computes_one_row_per_visited_state_per_pass(toy_env, monkeypatch):
