@@ -527,6 +527,8 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     }
     if args.algo is not None:
         algo = args.algo
+        if args.variant is not None and not algo.startswith("fpi"):
+            raise ConfigError(f"--variant {args.variant} applies only to --algo fpi, not {algo!r}")
         if algo.startswith("fpi"):
             algo = f"fpi-{args.variant}" if args.variant is not None else (
                 "fpi-vanilla" if algo == "fpi" else algo

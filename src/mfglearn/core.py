@@ -167,6 +167,10 @@ class RunConfig:
         if self.algorithm != "semisgd":
             if self.inner_k is None or self.inner_k < 1:
                 raise ConfigError("FPI variants need inner_k >= 1")
+            if self.inner_k > self.total_steps:
+                raise ConfigError(
+                    f"inner_k = {self.inner_k} exceeds the sample budget T = {self.total_steps}"
+                )
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
 

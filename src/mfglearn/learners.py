@@ -17,6 +17,7 @@ and fictitious-play averaging of the population iterates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -126,6 +127,11 @@ class _OnlineRun:
         # theta is only ever written in place, so the tabular view stays bound
         self.theta = np.zeros(phi.d1)
         self.theta2d = self.theta.reshape(env.n_states, env.n_actions) if self.tabular_q else None
+        # one-hot path: an upper bound on max |theta_i|, and the level up to
+        # which sqrt(d1) * bound stays within the radius even after the
+        # rounding of the exact norm (at most d1 * 2**-53 relative)
+        self.theta_bound = 0.0
+        self.bound_cap = float(radius) / (math.sqrt(phi.d1) * (1.0 + 1e-9 + phi.d1 * 2.0 ** -52))
         self.eta = np.full(basis.d2, 1.0 / basis.d2)
         self.s = 0
         self.a = 0
@@ -136,7 +142,7 @@ class _OnlineRun:
         uniform initial state, on-policy initial action."""
         rng = np.random.default_rng(seed)
         self.rng = rng
-        self.theta[:] = 0.0
+        self.set_theta(0.0)
         self.eta = project_simplex(rng.random(self.basis.d2))
         self.s = sample_action(self.env.initial_state, rng)
         self.a = self._draw_action(self.q_table_now(), self.s, rng, {})
@@ -184,6 +190,17 @@ class _OnlineRun:
         return s, a, r, s_next, a_next
 
     def update_eta(self, s_next: int, alpha: float):
+        """One population step with step size alpha in (0, 1), then the
+        simplex projection if eta has left the simplex.
+
+        The one-hot step eta <- (1 - alpha) eta + alpha e_{s'} keeps a
+        non-negative eta non-negative, and every eta this run holds is
+        non-negative (initial projection, these steps, ``fp_mix``), so only
+        the sum is tested there.  A general basis tests the sum first and
+        the sign only when the sum passes.  Either way ``project_simplex``
+        is called exactly when eta fails the full test (entries >= 0, sum
+        within ``SIMPLEX_TOL`` of one).
+        """
         eta = self.eta
         if self.tabular_m:
             eta *= 1.0 - alpha
@@ -191,21 +208,46 @@ class _OnlineRun:
         else:
             eta -= alpha * semi_gradient_eta(eta, s_next, self.basis)
         if self.project:
-            if not (eta.min() >= 0.0 and abs(float(eta.sum()) - 1.0) <= SIMPLEX_TOL):
+            if not (abs(float(eta.sum()) - 1.0) <= SIMPLEX_TOL
+                    and (self.tabular_m or eta.min() >= 0.0)):
                 self.eta = project_simplex(eta)
 
     def update_theta(self, s, a, r, s_next, a_next, alpha: float):
+        """One TD step with step size alpha, then the ball projection: theta
+        is rescaled onto the ball exactly when sqrt(theta @ theta) > radius.
+
+        A one-hot step writes q[s, a] alone, so ``theta_bound``, the running
+        maximum of the written |q[s, a]|, bounds max |theta_i| as long as
+        every other write to theta goes through ``set_theta`` or this
+        rescaling (which scales the bound with theta).  sqrt(d1) * bound
+        then bounds the norm, and the exact norm is computed only once the
+        bound passes ``bound_cap``.  Dense feature maps take the exact norm
+        after every sample.
+        """
         if self.tabular_q:
             q = self.theta2d
             td = (q[s, a] - self.gamma * q[s_next, a_next]) - r
             q[s, a] -= alpha * td
+            v = abs(q[s, a])
+            if v > self.theta_bound:
+                self.theta_bound = v
+            if self.theta_bound <= self.bound_cap:
+                return
         else:
             obs = Observation(s, a, r, s_next, a_next)
             self.theta -= alpha * semi_gradient_theta(self.theta, obs, self.phi, self.gamma)
         if self.project:
             norm = float(np.sqrt(self.theta @ self.theta))
             if norm > self.radius:
-                self.theta *= self.radius / norm
+                scale = self.radius / norm
+                self.theta *= scale
+                self.theta_bound *= scale
+
+    def set_theta(self, theta):
+        """Overwrite theta in place, so the tabular view stays bound, and
+        recompute ``theta_bound``."""
+        self.theta[:] = theta
+        self.theta_bound = float(np.abs(self.theta).max())
 
     def parameter(self) -> UnifiedParameter:
         return UnifiedParameter(theta=self.theta.copy(), eta=self.eta.copy())
@@ -347,7 +389,7 @@ def _run_passes(
         for ob, alpha in obs:
             run.update_theta(*ob, alpha)
         if md:
-            run.theta[:] = md_mix(theta_hist, run.theta, step_size(schedule, outer))
+            run.set_theta(md_mix(theta_hist, run.theta, step_size(schedule, outer)))
             theta_hist = run.theta.copy()
         rec.record_param()
         if end == total:
@@ -406,10 +448,8 @@ def run_online_fpi(
     """
     if not cfg.algorithm.startswith("fpi-"):
         raise ConfigError(f"config algorithm {cfg.algorithm!r} is not an FPI variant")
-    k = cfg.inner_k  # RunConfig holds an FPI variant's inner_k at >= 1
-    if k > cfg.total_steps:
-        raise ConfigError(f"inner_k = {k} exceeds the sample budget T = {cfg.total_steps}")
-    return _run_passes(env, cfg, cfg.algorithm, k, phi, basis, pol, mu_ref, ref_map,
+    # RunConfig holds an FPI variant's inner_k in [1, T]
+    return _run_passes(env, cfg, cfg.algorithm, cfg.inner_k, phi, basis, pol, mu_ref, ref_map,
                        record_params)
 
 

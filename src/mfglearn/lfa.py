@@ -12,6 +12,7 @@ population as a mass vector is ``basis.represent(eta)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -154,14 +155,21 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
     Sort-based threshold rule, O(d log d).  Inputs already on the simplex
     (entries >= 0, sum within 1e-12 of one) are returned unchanged, which
-    makes the projection exactly idempotent.
+    makes the projection exactly idempotent.  Non-finite input raises
+    ``ValueError``.
+
+    The sum is taken once and serves both tests: an inf or NaN entry always
+    makes the sum inf or NaN, so only a non-finite sum needs the entrywise
+    finiteness scan (a finite input whose sum overflows passes it and goes
+    on to the threshold rule), and a sum off one skips the sign test.
     """
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    total = float(v.sum())
+    if not math.isfinite(total) and not np.all(np.isfinite(v)):
         raise ValueError("project_simplex requires finite input")
     if v.ndim != 1 or v.size == 0:
         raise ValueError("project_simplex expects a non-empty vector")
-    if v.min() >= 0.0 and abs(float(v.sum()) - 1.0) <= SIMPLEX_TOL:
+    if abs(total - 1.0) <= SIMPLEX_TOL and v.min() >= 0.0:
         return v.copy()
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0

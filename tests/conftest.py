@@ -77,6 +77,25 @@ def kkt_simplex_projection(v: np.ndarray) -> np.ndarray:
     return best
 
 
+def simplex_projection_oracle(v: np.ndarray) -> np.ndarray:
+    """Frozen copy of the sort-based ``project_simplex`` that ran two reductions
+    and a full finiteness scan on every call; its outputs and errors are the
+    contract of the current one."""
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("project_simplex requires finite input")
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("project_simplex expects a non-empty vector")
+    if v.min() >= 0.0 and abs(float(v.sum()) - 1.0) <= SIMPLEX_TOL:
+        return v.copy()
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho_idx = np.nonzero(u * np.arange(1, v.size + 1) > css)[0]
+    rho = rho_idx[-1] + 1
+    tau = css[rho - 1] / rho
+    return np.maximum(v - tau, 0.0)
+
+
 def eta_on_simplex(eta: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
     """True iff every entry is >= 0 and the sum is within ``tol`` of one."""
     eta = np.asarray(eta)

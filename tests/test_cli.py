@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -415,6 +416,8 @@ def test_compare_lfa_computes_no_exploitability(tmp_path, monkeypatch, ring200_r
     (["run", "--env", "toy", "--alpha", "1.5"], "run_semisgd"),
     (["sweep-k", "--env", "toy", "--k-list", "1,10", "--alpha", "1.5"], "run_online_fpi"),
     (["compare-lfa", "--env", "ring-road", "--alpha", "1.5"], "run_semisgd"),
+    (["run", "--env", "toy", "--algo", "fpi"], "run_online_fpi"),  # default K 500 > T
+    (["run", "--env", "toy", "--algo", "semisgd", "--variant", "fp"], "run_semisgd"),
 ])
 def test_sweep_lists_are_validated_before_the_first_run(tmp_path, monkeypatch, argv, runner):
     # sweep lists and run configs alike: a config error solves no reference
@@ -426,3 +429,62 @@ def test_sweep_lists_are_validated_before_the_first_run(tmp_path, monkeypatch, a
     monkeypatch.setattr(cli, "ensure_reference", never)
     assert main([*argv, "--steps", "100", "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_variant_needs_an_fpi_algorithm(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--env", "toy", "--algo", "semisgd", "--variant", "fp",
+                 "--steps", "100", "--out", str(out)]) == 2
+    assert "--variant fp applies only to --algo fpi" in capsys.readouterr().err
+    assert not out.exists()
+    # a variant alone, or with an FPI algorithm, still selects the variant
+    args = cli.build_parser().parse_args(["run", "--algo", "fpi", "--variant", "md"])
+    assert cli.spec_from_args(args).algorithm == "fpi-md"
+    args = cli.build_parser().parse_args(["run", "--variant", "er"])
+    assert cli.spec_from_args(args).algorithm == "fpi-er"
+
+
+# SHA-256 of every output file of three small specs, recorded with numpy 2.4
+# on x86-64.  Speed changes must keep result bytes; a change that moves them
+# on purpose updates these digests and says why.
+GOLDEN_DIGESTS = {
+    "toy-run": {
+        "aggregate.csv": "075690c41dbe7fbbe2657fc0e274be37252654dfb560540cd40455e1083c0668",
+        "reference/meta.json": "33c9637c6a99b0643253464a728444900a7e14ee062ecd23aef49daaf2779e98",
+        "reference/mu_star.txt": "d3a7e9d78ee91facec21589c0054e243213991dc5d278c6e319529b0bbd64a57",
+        "reference/q_star.txt": "4eabc8e38b590da68810696e0c8d20183fd989b3e21fefc6acf6f9443d6ef96e",
+        "reference/reference.csv":
+            "3ec93e930e5f024e922f4f27c39b3799a0012397966abd73c9c8201322ec1853",
+        "run_seed0.csv": "2d86b308d0df29c895330fdcdce96ab9fc0a0acc3443fd9d5b66b359cb341a53",
+        "run_seed1.csv": "6af9b006d7e36d919ffe8d27e626e79744588dcab6f1b03b4d65b8da559ede8f",
+    },
+    "ring-road-50-sweep-k": {
+        "reference/meta.json": "c7e513f85ab98953744f006ea44418800bf4748fa9e428daa489d362a6f30017",
+        "reference/mu_star.txt": "b1adf8b7935edbe6d51c8569ca7cb4062a46bd2f05c62f806647ca188a11b093",
+        "reference/q_star.txt": "2c67f55c9b496f31c8095ef69111db4d57fd8f2f075b795957d5dad2fab2ab17",
+        "reference/reference.csv":
+            "af2a083f781a7cfcd2f48e0daa7403665b335442683218f2da7a039cd2d1f75d",
+        "sweep_k.csv": "0943a0b6b8dd64067aa4cb12427facb69e9d392212ec95cb4b8f2eadc16ccd01",
+    },
+    "compare-lfa": {
+        "compare_lfa.csv": "937f836495e7e1377ad659d38df6f4cc942281ee387916aa9a7bf7134423b5b5",
+    },
+}
+
+
+def test_cli_output_bytes_match_golden_digests(tmp_path, ring200_reference_dir):
+    config = tmp_path / "lfa.json"
+    config.write_text(json.dumps({"reference": str(ring200_reference_dir)}))
+    specs = {
+        "toy-run": ["run", "--env", "toy", "--steps", "2000", "--seeds", "0,1"],
+        "ring-road-50-sweep-k": ["sweep-k", "--env", "ring-road", "--k-list", "1,10",
+                                 "--steps", "2000", "--seeds", "0,1"],
+        "compare-lfa": ["compare-lfa", "--env", "ring-road", "--d2-list", "5",
+                        "--steps", "2000", "--seeds", "0,1", "--config", str(config)],
+    }
+    for name, argv in specs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        got = {str(p.relative_to(out).as_posix()): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.rglob("*")) if p.is_file()}
+        assert got == GOLDEN_DIGESTS[name], name

@@ -88,5 +88,8 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         make_cfg(algorithm="fpi-vanilla")  # missing inner_k
     make_cfg(algorithm="fpi-vanilla", inner_k=10)
+    make_cfg(algorithm="fpi-vanilla", inner_k=100)  # K = T: one pass
+    with pytest.raises(ConfigError, match="exceeds the sample budget"):
+        make_cfg(algorithm="fpi-vanilla", inner_k=101)
     with pytest.raises(ConfigError):
         make_cfg(algorithm="sgd")

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from mfglearn.core import ConfigError, RunConfig, StepSizeSchedule
+from mfglearn.core import (
+    SIMPLEX_TOL,
+    ConfigError,
+    Observation,
+    RunConfig,
+    StepSizeSchedule,
+    UnifiedParameter,
+)
 from mfglearn import learners
 from mfglearn.envs import flocking_env, ring_road_env, toy_finite_env
 from mfglearn.learners import (
@@ -12,11 +19,17 @@ from mfglearn.learners import (
     run_semisgd,
     step_size,
 )
-from mfglearn.lfa import FeatureMap, one_hot_feature_map, one_hot_measure_basis
+from mfglearn.lfa import (
+    FeatureMap,
+    one_hot_feature_map,
+    one_hot_measure_basis,
+    semi_gradient_eta,
+    semi_gradient_theta,
+)
 from mfglearn.metrics import induced_population, value_iteration
 from mfglearn.policy import argmax_operator
 
-from .conftest import identity_features, validate_parameter
+from .conftest import identity_features, simplex_projection_oracle, validate_parameter
 from .test_envs import eigen_stationary
 from .test_metrics import make_env, seed_value_iteration
 
@@ -179,9 +192,10 @@ def test_run_online_fpi_partial_final_loop(toy_env):
 
 
 def test_run_online_fpi_rejects_oversized_k(toy_env):
-    cfg = small_cfg(toy_env, steps=10, algorithm="fpi-vanilla", inner_k=50)
-    with pytest.raises(ConfigError):
-        run_online_fpi(toy_env, cfg)
+    # the run config itself holds K <= T, so no FPI run can see a larger K
+    with pytest.raises(ConfigError, match="exceeds the sample budget"):
+        small_cfg(toy_env, steps=10, algorithm="fpi-vanilla", inner_k=50)
+    run_online_fpi(toy_env, small_cfg(toy_env, steps=10, algorithm="fpi-vanilla", inner_k=10))
 
 
 def test_run_online_fpi_er_needs_softmax(toy_env):
@@ -217,11 +231,15 @@ def test_dense_identity_features_match_one_hot_bit_for_bit(toy_env, algorithm):
         assert xa.eta.tobytes() == xb.eta.tobytes()
 
 
+def _low_rank_features(n_states, n_actions, d1, seed):
+    """Random dense features scaled to sup ||phi(s, a)|| = 1."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n_states, n_actions, d1))
+    return FeatureMap(features / np.linalg.norm(features, axis=2).max())
+
+
 def test_low_rank_features_stay_finite_inside_the_ball(toy_env):
-    rng = np.random.default_rng(13)
-    features = rng.normal(size=(3, 2, 3))
-    features /= np.linalg.norm(features, axis=2).max()  # sup ||phi(s, a)|| = 1
-    phi = FeatureMap(features)
+    phi = _low_rank_features(3, 2, 3, seed=13)
     assert phi.d1 == 3
     cfg = small_cfg(toy_env, steps=2000, alpha=0.05)
     rec = run_semisgd(toy_env, cfg, phi=phi, mu_ref=toy_env.initial_state, record_params=True)
@@ -330,20 +348,26 @@ def test_model_based_fpi_fp_determinism(toy_env):
 # -- FPI policy-row cache -------------------------------------------------------
 
 
-def _uncached_fpi_trace(env, cfg, variant):
-    """Online FPI written out apart from the learners' shared pass loop and
-    without its per-pass row cache: every draw computes its policy row from
-    a copy of the frozen Q, and the backward pass recomputes step sizes."""
+def _uncached_fpi_trace(env, cfg, variant, phi=None):
+    """Online FPI written out apart from the learners' shared pass loop,
+    without its per-pass row cache and without its projection guards: every
+    draw computes its policy row from a copy of the frozen Q, the backward
+    pass recomputes step sizes, every sample runs the full simplex test
+    (sign and sum) and takes the exact norm of theta, and the simplex
+    projection is the frozen oracle.  Returns the parameter after each pass
+    and the sample indices at which the ball projection fired."""
     from mfglearn import learners
     from mfglearn.policy import softmax_operator
 
-    phi, basis, pol = learners._defaults(env, cfg, None, None, None)
+    phi, basis, pol = learners._defaults(env, cfg, phi, None, None)
     if variant == "er":
         pol = softmax_operator(pol.inverse_temperature / learners.ER_TEMPERATURE_DIVISOR)
     run = learners._OnlineRun(env, phi, basis, pol, cfg.gamma, cfg.ball_radius)
     run.init_from_seed(cfg.seed)
-    eta_hist, theta_hist = run.eta.copy(), run.theta.copy()
+    theta, eta = run.theta, run.eta  # theta is written in place only
+    eta_hist, theta_hist = eta.copy(), theta.copy()
     trace = []
+    fires = []
     outer = 0
     base_t = 0
     while base_t < cfg.total_steps:
@@ -352,20 +376,38 @@ def _uncached_fpi_trace(env, cfg, variant):
         obs = []
         for i in range(k_eff):
             obs.append(run.chain_step(frozen_q, {}))
-            run.update_eta(obs[-1][3], step_size(cfg.schedule, base_t + i))
+            s_next, alpha = obs[-1][3], step_size(cfg.schedule, base_t + i)
+            if run.tabular_m:
+                eta *= 1.0 - alpha
+                eta[s_next] += alpha
+            else:
+                eta -= alpha * semi_gradient_eta(eta, s_next, basis)
+            if not (eta.min() >= 0.0 and abs(float(eta.sum()) - 1.0) <= SIMPLEX_TOL):
+                eta = simplex_projection_oracle(eta)
+            run.eta = eta  # the next draw reads the population from the run
         if variant == "fp":
-            run.eta = fp_mix(eta_hist, run.eta, step_size(cfg.schedule, outer))
-            eta_hist = run.eta.copy()
-        for i, ob in enumerate(obs):
-            run.update_theta(*ob, step_size(cfg.schedule, base_t + i))
+            eta = fp_mix(eta_hist, eta, step_size(cfg.schedule, outer))
+            eta_hist = eta.copy()
+        for i, (s, a, r, s_next, a_next) in enumerate(obs):
+            alpha = step_size(cfg.schedule, base_t + i)
+            if run.tabular_q:
+                q = theta.reshape(env.n_states, env.n_actions)
+                q[s, a] -= alpha * ((q[s, a] - cfg.gamma * q[s_next, a_next]) - r)
+            else:
+                ob = Observation(s, a, r, s_next, a_next)
+                theta -= alpha * semi_gradient_theta(theta, ob, phi, cfg.gamma)
+            norm = float(np.sqrt(theta @ theta))
+            if norm > cfg.ball_radius:
+                theta *= cfg.ball_radius / norm
+                fires.append(base_t + i)
         if variant == "md":
-            # in place: the tabular (S, A) view of theta stays bound
-            run.theta[:] = md_mix(theta_hist, run.theta, step_size(cfg.schedule, outer))
-            theta_hist = run.theta.copy()
-        trace.append(run.parameter())
+            theta[:] = md_mix(theta_hist, theta, step_size(cfg.schedule, outer))
+            theta_hist = theta.copy()
+        run.eta = eta
+        trace.append(UnifiedParameter(theta.copy(), eta.copy()))
         outer += 1
         base_t += k_eff
-    return trace
+    return trace, fires
 
 
 @pytest.mark.parametrize("env_tag,steps", [
@@ -399,11 +441,55 @@ def test_run_online_fpi_row_cache_is_bit_identical(env_tag, steps):
         learn = run_semisgd if algorithm == "semisgd" else run_online_fpi
         got = learn(env, cfg, record_params=True).param_trace
         variant = "vanilla" if algorithm == "semisgd" else algorithm[len("fpi-"):]
-        want = _uncached_fpi_trace(env, cfg, variant)
+        want, _ = _uncached_fpi_trace(env, cfg, variant)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.theta.tobytes() == w.theta.tobytes(), (algorithm, k)
             assert g.eta.tobytes() == w.eta.tobytes(), (algorithm, k)
+
+
+@pytest.mark.parametrize("env_tag,algorithm,k,features,radius", [
+    ("toy", "semisgd", 1, None, 0.06),
+    ("toy", "fpi-vanilla", 1, None, 0.06),
+    ("toy", "fpi-md", 10, None, 0.006),
+    ("ring-road", "semisgd", 1, None, 0.008),
+    ("ring-road", "fpi-vanilla", 1, None, 0.008),
+    ("ring-road", "fpi-md", 10, None, 5e-4),
+    ("toy", "semisgd", 1, "identity", 0.06),
+    ("toy", "fpi-md", 10, "low-rank", 0.01),
+])
+def test_ball_guard_matches_the_exact_norm_every_sample(env_tag, algorithm, k, features, radius):
+    # a radius at which the ball first fires mid-run: the one-hot path's
+    # running bound must rescale theta at exactly the samples where the
+    # exact norm exceeds the radius, before and after the first rescaling
+    # and across the MD mixing; dense maps take the exact norm every sample
+    env = toy_finite_env(3, 2, seed=7) if env_tag == "toy" else ring_road_env(50)
+    phi = {
+        None: None,
+        "identity": identity_features(env.n_states, env.n_actions),
+        "low-rank": _low_rank_features(env.n_states, env.n_actions, 4, seed=5),
+    }[features]
+    cfg = RunConfig(
+        total_steps=600,
+        schedule=StepSizeSchedule("constant", 0.05),
+        gamma=env.gamma,
+        inverse_temperature=1e2 if env_tag == "toy" else 1e9,
+        ball_radius=radius,
+        seed=3,
+        inner_k=k,
+        algorithm=algorithm,
+        cadence=100,
+        expl_every=None,
+    )
+    learn = run_semisgd if algorithm == "semisgd" else run_online_fpi
+    got = learn(env, cfg, phi=phi, record_params=True).param_trace
+    variant = "vanilla" if algorithm == "semisgd" else algorithm[len("fpi-"):]
+    want, fires = _uncached_fpi_trace(env, cfg, variant, phi=phi)
+    assert 0 < fires[0] and len(fires) > 1, fires
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.theta.tobytes() == w.theta.tobytes()
+        assert g.eta.tobytes() == w.eta.tobytes()
 
 
 def test_run_online_fpi_computes_one_row_per_visited_state_per_pass(toy_env, monkeypatch):

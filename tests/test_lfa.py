@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfglearn.core import ActionSpace, Observation, RunConfig, StateSpace, StepSizeSchedule
@@ -20,7 +20,7 @@ from mfglearn.lfa import (
 from mfglearn.metrics import q_table
 from mfglearn.policy import argmax_operator
 
-from .conftest import identity_features, kkt_simplex_projection
+from .conftest import identity_features, kkt_simplex_projection, simplex_projection_oracle
 
 GRID50 = StateSpace(size=50, kind="grid", delta=0.02, wrap=True)
 
@@ -213,15 +213,37 @@ def test_project_ball():
     for phi in (one_hot_feature_map(env.states, env.actions), identity_features(2, 1)):
         run = _OnlineRun(env, phi, one_hot_measure_basis(env.states), argmax_operator(),
                          gamma=0.0, radius=5.0)
-        run.theta[:] = [3.0, 4.0]
+        run.set_theta([3.0, 4.0])
         run.update_theta(0, 0, 3.0, 1, 0, alpha=0.5)  # zero TD error
         np.testing.assert_array_equal(run.theta, [3.0, 4.0])
-        run.theta[:] = [3.0, 8.0]
+        run.set_theta([3.0, 8.0])
         run.update_theta(0, 0, 9.0, 1, 0, alpha=0.5)  # [6, 8], then onto the ball
         np.testing.assert_allclose(run.theta, [3.0, 4.0], rtol=1e-15)
     with pytest.raises(ValueError):
         RunConfig(total_steps=1, schedule=StepSizeSchedule("constant", 0.5), gamma=0.5,
                   inverse_temperature=1.0, ball_radius=0.0, seed=0)
+
+
+def test_ball_guard_fires_just_below_the_computed_norm():
+    # entries of equal magnitude make sqrt(d1) * max|theta_i| equal to the
+    # norm, so only the guard's rounding margin separates it from the exact
+    # test: at the largest radius below the computed norm the ball fires,
+    # at the computed norm it does not
+    rng = np.random.default_rng(31)
+    for n_states, n_actions in ((2, 1), (3, 1), (5, 1), (3, 2), (5, 2), (6, 6)):
+        env = toy_finite_env(n_states, n_actions, seed=0)
+        d1 = n_states * n_actions
+        phi = one_hot_feature_map(env.states, env.actions)
+        for _ in range(50):
+            theta = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0], size=d1)
+            norm = float(np.sqrt(theta @ theta))
+            for radius, fires in ((np.nextafter(norm, 0.0), True), (norm, False)):
+                run = _OnlineRun(env, phi, one_hot_measure_basis(env.states),
+                                 argmax_operator(), gamma=0.0, radius=radius)
+                run.set_theta(theta)
+                run.update_theta(0, 0, theta[0], 1, 0, alpha=0.5)  # zero TD error
+                want = theta * (radius / norm) if fires else theta
+                assert run.theta.tobytes() == want.tobytes(), (d1, radius)
 
 
 @settings(max_examples=200, deadline=None)
@@ -232,6 +254,49 @@ def test_project_simplex_always_lands_on_simplex(values):
     p = project_simplex(np.array(values))
     assert p.min() >= 0.0
     assert abs(p.sum() - 1.0) <= 1e-12
+
+
+_HUGE = st.floats(min_value=1e306, max_value=np.finfo(np.float64).max)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.lists(st.floats(), max_size=12),  # inf, nan and the empty list included
+    st.lists(st.floats(-5, 5), min_size=1, max_size=12),
+    st.lists(st.floats(max_value=0.0, allow_infinity=False), min_size=1, max_size=12),
+    st.lists(st.one_of(_HUGE, _HUGE.map(lambda x: -x)), min_size=1, max_size=12),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+    .filter(lambda x: sum(x) > 0.0)
+    .map(lambda x: (np.array(x) / np.sum(x)).tolist()),  # on or next to the simplex
+))
+@example([1e308, 1e308])  # finite entries whose sum overflows
+@example([1e308, 1e308, -1e308, 0.5])
+@example([np.inf, -np.inf])
+@example([np.nan])
+@example([0.25, 0.25, 0.5])
+def test_project_simplex_matches_the_two_reduction_oracle(values):
+    # one sum for the finiteness and idempotence tests: the same bytes, and
+    # the same error wherever the full-scan oracle raises one (a ValueError
+    # for non-finite input; an IndexError where the cumulative sum overflows)
+    v = np.array(values, dtype=np.float64)
+    try:
+        want = simplex_projection_oracle(v)
+    except (ValueError, IndexError) as exc:
+        with pytest.raises(type(exc)):
+            project_simplex(v)
+        return
+    got = project_simplex(v)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("v", [np.zeros((2, 2)), np.array(0.5), np.full((1, 2), np.inf)])
+def test_project_simplex_rejects_what_the_oracle_rejects(v):
+    with pytest.raises(ValueError):
+        simplex_projection_oracle(v)
+    with pytest.raises(ValueError):
+        project_simplex(v)
 
 
 # -- semi-gradients ----------------------------------------------------------
