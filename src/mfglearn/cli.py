@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -271,47 +271,68 @@ def _spec_basis(spec: ExperimentSpec, env: EnvironmentModel):
     return None
 
 
-def _run_one(env: EnvironmentModel, cfg: RunConfig, mu_ref: np.ndarray,
-             ref_map=None, basis=None) -> RunRecord:
-    if cfg.algorithm == "semisgd":
-        return run_semisgd(env, cfg, basis=basis, mu_ref=mu_ref, ref_map=ref_map)
-    return run_online_fpi(env, cfg, basis=basis, mu_ref=mu_ref, ref_map=ref_map)
+def _run_seeds(env: EnvironmentModel, cfgs: List[RunConfig], mu_ref: np.ndarray,
+               ref_map=None, basis=None) -> Iterator[RunRecord]:
+    """Run each config in turn and yield its record once its MSE and
+    exploitability are checked finite.
+
+    Each run is one call of the module attribute ``run_semisgd`` or
+    ``run_online_fpi``.  A generator, so a caller that only summarizes the
+    records holds none but the last one it received.
+    """
+    for cfg in cfgs:
+        run = run_semisgd if cfg.algorithm == "semisgd" else run_online_fpi
+        record = run(env, cfg, basis=basis, mu_ref=mu_ref, ref_map=ref_map)
+        _check_finite(record.mse)
+        if record.expl_values is not None:
+            _check_finite(record.expl_values)
+        yield record
+
+
+def _expl_at(record: RunRecord, i: int) -> Optional[float]:
+    """The record's exploitability at its i-th snapshot; None if it took none
+    there.  Exploitability is only taken at snapshots, in step order, so a
+    binary search finds it."""
+    if record.expl_steps is None:
+        return None
+    t = record.steps[i]
+    j = np.searchsorted(record.expl_steps, t)
+    if j < record.expl_steps.size and record.expl_steps[j] == t:
+        return record.expl_values[j]
+    return None
 
 
 def _record_rows(record: RunRecord) -> List[List[str]]:
-    expl = {}
-    if record.expl_steps is not None:
-        expl = dict(zip(record.expl_steps.tolist(), record.expl_values.tolist()))
     rows = []
     for i, t in enumerate(record.steps.tolist()):
-        e = expl.get(t)
+        e = _expl_at(record, i)
         rows.append([str(t), _fmt(record.mse[i]), "" if e is None else _fmt(e)])
     return rows
 
 
+def _summary_row(records: Iterable[RunRecord], i: int) -> List[str]:
+    """``[step, mse_mean, mse_std, expl_mean, expl_std]`` over the records at
+    snapshot index i, as CSV cells.
+
+    Reads ``records`` in one pass, so it consumes a ``_run_seeds`` generator
+    one record at a time.  The exploitability cells are blank unless every
+    record took one at that snapshot.
+    """
+    mse, expl = [], []
+    for record in records:
+        step = record.steps[i]
+        mse.append(record.mse[i])
+        expl.append(_expl_at(record, i))
+    mse = np.array(mse)
+    row = [str(step), _fmt(mse.mean()), _fmt(_std(mse))]
+    if any(e is None for e in expl):
+        return row + ["", ""]
+    expl = np.array(expl)
+    return row + [_fmt(expl.mean()), _fmt(_std(expl))]
+
+
 def _aggregate_rows(records: List[RunRecord]) -> List[List[str]]:
-    steps = records[0].steps
-    mse = np.stack([r.mse for r in records])
-    _check_finite(mse)
-    expl_maps = []
-    for r in records:
-        expl_maps.append(
-            dict(zip(r.expl_steps.tolist(), r.expl_values.tolist()))
-            if r.expl_steps is not None
-            else {}
-        )
-    rows = []
-    for i, t in enumerate(steps.tolist()):
-        m = mse[:, i]
-        row = [str(t), _fmt(m.mean()), _fmt(_std(m))]
-        if all(t in e for e in expl_maps) and expl_maps:
-            vals = np.array([e[t] for e in expl_maps])
-            _check_finite(vals)
-            row += [_fmt(vals.mean()), _fmt(_std(vals))]
-        else:
-            row += ["", ""]
-        rows.append(row)
-    return rows
+    return [_summary_row(records, i) for i in range(records[0].steps.size)]
 
 
 def _std(values: np.ndarray) -> float:
@@ -343,13 +364,9 @@ def cmd_run(spec: ExperimentSpec) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = ensure_reference(spec, env, out_dir)
     records = []
-    for cfg in cfgs:
-        record = _run_one(env, cfg, ref.mu_star, basis=basis)
-        _check_finite(record.mse)
-        if record.expl_values is not None:
-            _check_finite(record.expl_values)
+    for record in _run_seeds(env, cfgs, ref.mu_star, basis=basis):
         _write_csv(
-            out_dir / f"run_seed{cfg.seed}.csv",
+            out_dir / f"run_seed{record.seed}.csv",
             ["step", "mse", "exploitability"],
             _record_rows(record),
         )
@@ -363,11 +380,14 @@ def cmd_run(spec: ExperimentSpec) -> Path:
 
 
 def cmd_sweep_k(spec: ExperimentSpec, k_list: List[int]) -> Path:
-    """Fixed total budget, one aggregate row of final metrics per K.
+    """Fixed total budget T, one row per K: K, then the ``_summary_row`` of
+    the seeds' final snapshots (mean and std of MSE and exploitability).
 
-    Only the final exploitability of each run reaches ``sweep_k.csv``, and
-    only when T is a multiple of ``expl_every``; each run then computes it
-    at t = 0 and t = T alone (``expl_every = T``), and otherwise not at all.
+    The seeds of one K stream through ``_run_seeds``, one finished record
+    held at a time.  Only the final exploitability of each run reaches
+    ``sweep_k.csv``, and only when T is a multiple of ``expl_every``; each
+    run then computes it at t = 0 and t = T alone (``expl_every = T``), and
+    otherwise not at all, leaving both exploitability cells blank.
     """
     if not k_list:
         raise ConfigError("sweep-k needs a non-empty K list")
@@ -384,24 +404,10 @@ def cmd_sweep_k(spec: ExperimentSpec, k_list: List[int]) -> Path:
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = ensure_reference(spec, env, out_dir)
-    rows = []
-    for k, cfgs in sweep:
-        finals, expls = [], []
-        for cfg in cfgs:
-            record = _run_one(env, cfg, ref.mu_star, basis=basis)
-            finals.append(record.mse[-1])
-            if record.expl_steps is not None and record.expl_steps[-1] == record.steps[-1]:
-                expls.append(record.expl_values[-1])
-        finals = np.array(finals)
-        _check_finite(finals)
-        row = [str(int(k)), _fmt(finals.mean()), _fmt(_std(finals))]
-        if len(expls) == len(spec.effective_seeds):
-            expls = np.array(expls)
-            _check_finite(expls)
-            row += [_fmt(expls.mean()), _fmt(_std(expls))]
-        else:
-            row += ["", ""]
-        rows.append(row)
+    rows = [
+        [str(int(k))] + _summary_row(_run_seeds(env, cfgs, ref.mu_star, basis=basis), -1)[1:]
+        for k, cfgs in sweep
+    ]
     _write_csv(
         out_dir / "sweep_k.csv",
         ["k", "mse_mean", "mse_std", "expl_mean", "expl_std"],
@@ -437,31 +443,22 @@ def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
     fine_cfgs = _run_configs(spec, env_fine)
     coarse = [ring_road_env(int(d2)) for d2 in d2_list]
     coarse_cfgs = [_run_configs(spec, env) for env in coarse]
+    bases = [
+        tan_normal_basis(env_fine.states, int(d2), c=spec.basis_c, v=spec.basis_v)
+        for d2 in d2_list
+    ]
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ref = ensure_reference(spec, env_fine, out_dir)
     rows = []
-    for d2, env_coarse, cfgs in zip(d2_list, coarse, coarse_cfgs):
+    for d2, env_coarse, cfgs, basis in zip(d2_list, coarse, coarse_cfgs, bases):
         # (a) grid discretization: plain tabular run on the coarsened game
         ref_map = resample_masses(int(d2), COMPARE_LFA_GRID)
-        finals = []
-        for cfg in cfgs:
-            record = _run_one(env_coarse, cfg, ref.mu_star, ref_map=ref_map)
-            finals.append(record.mse[-1])
-        finals = np.array(finals)
-        _check_finite(finals)
-        rows.append(
-            [str(int(d2)), "discretization", _fmt(finals.mean()), _fmt(_std(finals))]
-        )
+        runs = _run_seeds(env_coarse, cfgs, ref.mu_star, ref_map=ref_map)
+        rows.append([str(int(d2)), "discretization"] + _summary_row(runs, -1)[1:3])
         # (b) PA-LFA: fine grid with a tan-normal measure basis
-        basis = tan_normal_basis(env_fine.states, int(d2), c=spec.basis_c, v=spec.basis_v)
-        finals = []
-        for cfg in fine_cfgs:
-            record = _run_one(env_fine, cfg, ref.mu_star, basis=basis)
-            finals.append(record.mse[-1])
-        finals = np.array(finals)
-        _check_finite(finals)
-        rows.append([str(int(d2)), "pa-lfa", _fmt(finals.mean()), _fmt(_std(finals))])
+        runs = _run_seeds(env_fine, fine_cfgs, ref.mu_star, basis=basis)
+        rows.append([str(int(d2)), "pa-lfa"] + _summary_row(runs, -1)[1:3])
     _write_csv(out_dir / "compare_lfa.csv", ["d2", "method", "mse_mean", "mse_std"], rows)
     return out_dir
 

@@ -35,7 +35,6 @@ class StateSpace:
     size: int
     kind: str = "grid"  # "grid" | "edges"
     delta: float = 1.0
-    wrap: bool = False
 
     def __post_init__(self):
         if self.size < 1:
@@ -108,14 +107,6 @@ class UnifiedParameter:
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=np.float64))
-
-    @property
-    def d1(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def d2(self) -> int:
-        return self.eta.shape[0]
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,7 @@ def ring_road_env(size: int = 50) -> EnvironmentModel:
     gamma = 1 - ds.
     """
     delta = 1.0 / size
-    states = StateSpace(size=size, kind="grid", delta=delta, wrap=True)
+    states = StateSpace(size=size, kind="grid", delta=delta)
     actions = ActionSpace(size=size)
     coords = np.arange(size) * delta
     a_vals = np.arange(size) * delta  # a_max = 1
@@ -206,7 +206,7 @@ def flocking_env(
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     delta = 1.0 / size
-    states = StateSpace(size=size, kind="grid", delta=delta, wrap=True)
+    states = StateSpace(size=size, kind="grid", delta=delta)
     actions = ActionSpace(size=size)
     coords = np.arange(size) * delta
     a_vals = np.arange(size) * delta
@@ -367,7 +367,6 @@ def sioux_falls_env(path=None) -> EnvironmentModel:
         initial_state=np.full(n_e, 1.0 / n_e),
         reward_bound=max(c1, c2),
         population_independent=True,
-        extras={"edges": edges, "restart_index": restart},
     )
 
 

@@ -42,7 +42,6 @@ from .lfa import (
     semi_gradient_theta,
 )
 from .metrics import (
-    _POP_TOL,
     _exploitability_at,
     induced_population,
     q_table,
@@ -463,13 +462,14 @@ def model_based_fpi_fp(
     Alternates (i) the best response at the averaged population, by policy
     iteration with exact evaluation (``value_iteration``), (ii) the induced
     population of that greedy policy (population fed back into the kernel),
-    and (iii) fictitious-play averaging mu <- (k*mu + mu_new)/(k+1).  Once
-    the greedy policy and its induced population stop changing, a final
-    consistency pass recomputes Q at the induced population, so the returned
-    pair satisfies both fixed points up to the stated tolerances.  The solution
-    records the ``outer_iters`` budget and, as ``converged``, whether that
-    stopping rule fired within it; otherwise the pass runs at the last
-    iterate.
+    and (iii) fictitious-play averaging mu <- (k*mu + mu_new)/(k+1).  It
+    stops once two consecutive greedy policies are equal (their induced
+    populations then are too, bit for bit).  A final consistency pass takes
+    the last greedy policy's induced population as ``mu_star`` and recomputes
+    Q there, so the returned pair satisfies both fixed points up to the
+    stated tolerances.  The solution records the ``outer_iters`` budget and,
+    as ``converged``, whether that stopping rule fired within it; otherwise
+    the pass runs at the last iterate.
     """
     if outer_iters < 1:
         raise ConfigError("outer_iters must be >= 1")
@@ -477,7 +477,6 @@ def model_based_fpi_fp(
     expl_iters: List[int] = []
     expl_vals: List[float] = []
     greedy_prev = None
-    mu_ind_prev = None
     iterations = 0
     converged = False
 
@@ -488,24 +487,17 @@ def model_based_fpi_fp(
         if expl_every and k % expl_every == 0:
             expl_iters.append(k)
             expl_vals.append(_exploitability_at(pi, env, mu_ind))
-        greedy_actions = np.argmax(pi, axis=1)
-        if (
-            greedy_prev is not None
-            and np.array_equal(greedy_actions, greedy_prev)
-            and float(np.abs(mu_ind - mu_ind_prev).sum()) < 10.0 * _POP_TOL
-        ):
+        greedy = np.argmax(pi, axis=1)
+        if greedy_prev is not None and np.array_equal(greedy, greedy_prev):
             converged = True
             break
-        greedy_prev = greedy_actions
-        mu_ind_prev = mu_ind
+        greedy_prev = greedy
         mu_avg = (k * mu_avg + mu_ind) / (k + 1.0)
 
-    # consistency pass at the final greedy policy
-    pi_last = np.zeros((env.n_states, env.n_actions))
-    pi_last[np.arange(env.n_states), greedy_prev] = 1.0
-    mu_star = induced_population(pi_last, env)
+    # consistency pass at the final greedy policy and its induced population
+    mu_star = mu_ind
     _, q_star, pi_star = value_iteration(env, mu_star)
-    if np.array_equal(np.argmax(pi_star, axis=1), greedy_prev):
+    if np.array_equal(np.argmax(pi_star, axis=1), greedy):
         final_expl = _exploitability_at(pi_star, env, mu_star)
     else:
         mu_pi = induced_population(pi_star, env)

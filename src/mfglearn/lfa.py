@@ -155,8 +155,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
     Sort-based threshold rule, O(d log d).  Inputs already on the simplex
     (entries >= 0, sum within 1e-12 of one) are returned unchanged, which
-    makes the projection exactly idempotent.  Non-finite input raises
-    ``ValueError``.
+    makes the projection exactly idempotent.  Non-finite input, and finite
+    input whose sorted cumulative sum overflows to inf, raise ``ValueError``.
 
     The sum is taken once and serves both tests: an inf or NaN entry always
     makes the sum inf or NaN, so only a non-finite sum needs the entrywise
@@ -174,6 +174,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     rho_idx = np.nonzero(u * np.arange(1, v.size + 1) > css)[0]
+    if rho_idx.size == 0:
+        raise ValueError("project_simplex input overflows its cumulative sum")
     rho = rho_idx[-1] + 1
     tau = css[rho - 1] / rho
     return np.maximum(v - tau, 0.0)

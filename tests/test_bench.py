@@ -12,10 +12,11 @@ def test_benchmark_selftest_passes():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_tracer_spans_cover_the_current_program(tmp_path):
+def test_tracer_spans_cover_the_current_program(tmp_path, ring200_reference_dir):
     # the tracer patches module attributes by name; a renamed one must fail here
     import importlib
     import importlib.util
+    import json
     import types
 
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
@@ -27,23 +28,36 @@ def test_tracer_spans_cover_the_current_program(tmp_path):
 
     tracer = tracing.Tracer()
     seeds, steps = 2, 200
+    common = ["--steps", str(steps), "--seeds", "0,1", "--no-exploitability"]
+    lfa_config = tmp_path / "lfa.json"
+    lfa_config.write_text(json.dumps({"reference": str(ring200_reference_dir)}))
     try:
         tracing.install_timers(tracer, mfg)
         tracing.install_layers(tracer, mfg)
         for algo in ("semisgd", "fpi"):
             code = mfg.cli.main([
-                "run", "--env", "toy", "--algo", algo, "--inner-k", "10",
-                "--steps", str(steps), "--seeds", "0,1", "--no-exploitability",
+                "run", "--env", "toy", "--algo", algo, "--inner-k", "10", *common,
                 "--out", str(tmp_path / algo),
             ])
             assert code == 0
+        runs_end = tracer.mark()
+        counts = tracer.take_counts()
+        # the commands the workloads run: samples are counted per run call
+        assert mfg.cli.main(["sweep-k", "--env", "ring-road", "--k-list", "1,10", *common,
+                             "--out", str(tmp_path / "sweep")]) == 0
+        assert mfg.cli.main(["compare-lfa", "--env", "ring-road", "--d2-list", "5", *common,
+                             "--config", str(lfa_config), "--out", str(tmp_path / "lfa")]) == 0
     finally:
         tracer.uninstall()
     assert {n: getattr(mfg.learners, n) for n in originals} == originals
 
-    counts = tracer.take_counts()
+    protocols = tracer.take_counts()
+    assert protocols["learners.samples"] == 4 * seeds * steps  # two K values, two arms
+    layers = tracing.layer_metrics(tracer, runs_end, tracer.mark(), protocols, 1)
+    assert layers["learners.step_size.calls"] == protocols["learners.samples"]
+
     assert counts["learners.samples"] == 2 * seeds * steps
-    layers = tracing.layer_metrics(tracer, 0, tracer.mark(), counts, 1)
+    layers = tracing.layer_metrics(tracer, 0, runs_end, counts, 1)
     assert layers["learners.samples"] == 2 * seeds * steps
     assert layers["envs.reward.calls"] == 2 * seeds * steps
     # sample_next closes over the unwrapped kernel_support: no span per sample

@@ -431,6 +431,21 @@ def test_sweep_lists_are_validated_before_the_first_run(tmp_path, monkeypatch, a
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_lfa_builds_its_bases_before_the_first_side_effect(tmp_path, monkeypatch):
+    # a bad PA-LFA basis is a config error before any reference, run or directory
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the bases were built")
+
+    for name in ("ensure_reference", "run_semisgd", "run_online_fpi"):
+        monkeypatch.setattr(cli, name, never)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"basis_v": -1.0}))
+    out = tmp_path / "out"
+    assert main(["compare-lfa", "--env", "ring-road", "--d2-list", "5", "--steps", "100",
+                 "--seeds", "0", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_variant_needs_an_fpi_algorithm(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--env", "toy", "--algo", "semisgd", "--variant", "fp",

@@ -10,7 +10,7 @@ from mfglearn.core import (
     UnifiedParameter,
 )
 from mfglearn import learners
-from mfglearn.envs import flocking_env, ring_road_env, toy_finite_env
+from mfglearn.envs import flocking_env, ring_road_env, sioux_falls_env, toy_finite_env
 from mfglearn.learners import (
     fp_mix,
     md_mix,
@@ -308,6 +308,33 @@ def test_model_based_fpi_fp_matches_value_iteration_solver(make, monkeypatch):
     assert ref.iterations == seed.iterations
     np.testing.assert_array_equal(ref.q_star.argmax(axis=1), seed.q_star.argmax(axis=1))
     np.testing.assert_array_equal(ref.mu_star.view(np.int64), seed.mu_star.view(np.int64))
+
+
+@pytest.mark.parametrize("make,outer_iters", [
+    (lambda: toy_finite_env(3, 2, seed=7), 300), (lambda: ring_road_env(50), 300),
+    (lambda: flocking_env(50), 300), (lambda: sioux_falls_env(), 5),
+], ids=["toy-3x2-seed7", "ring-road-50", "flocking-50", "sioux-falls-unconverged"])
+def test_model_based_fpi_fp_induces_each_population_once(make, outer_iters, monkeypatch):
+    # mu_star is the last iterate's induced population; the consistency pass
+    # induces one more only when greedy(q_star) differs from the last greedy policy
+    greedy, induced = [], []
+
+    def recorded_value_iteration(env, mu):
+        out = value_iteration(env, mu)
+        greedy.append(out[2].argmax(axis=1))
+        return out
+
+    def recorded_induced_population(pi, env):
+        out = induced_population(pi, env)
+        induced.append(out)
+        return out
+
+    monkeypatch.setattr(learners, "value_iteration", recorded_value_iteration)
+    monkeypatch.setattr(learners, "induced_population", recorded_induced_population)
+    ref = model_based_fpi_fp(make(), outer_iters=outer_iters, expl_every=None)
+    assert len(greedy) == ref.iterations + 1
+    assert len(induced) == ref.iterations + (0 if np.array_equal(greedy[-1], greedy[-2]) else 1)
+    assert ref.mu_star.tobytes() == induced[ref.iterations - 1].tobytes()
 
 
 def test_model_based_fpi_fp_gamma_zero():

@@ -22,7 +22,7 @@ from mfglearn.policy import argmax_operator
 
 from .conftest import identity_features, kkt_simplex_projection, simplex_projection_oracle
 
-GRID50 = StateSpace(size=50, kind="grid", delta=0.02, wrap=True)
+GRID50 = StateSpace(size=50, kind="grid", delta=0.02)
 
 # frozen golden values: tan-normal basis, d2 = 2, 50-cell grid, defaults
 # c = 1.2 and v = d2/2, computed by an independent scalar-loop quadrature
@@ -272,18 +272,24 @@ _HUGE = st.floats(min_value=1e306, max_value=np.finfo(np.float64).max)
 ))
 @example([1e308, 1e308])  # finite entries whose sum overflows
 @example([1e308, 1e308, -1e308, 0.5])
+@example([1e308, -1e308, 1e308, -1e308])  # sums to zero
 @example([np.inf, -np.inf])
 @example([np.nan])
 @example([0.25, 0.25, 0.5])
 def test_project_simplex_matches_the_two_reduction_oracle(values):
-    # one sum for the finiteness and idempotence tests: the same bytes, and
-    # the same error wherever the full-scan oracle raises one (a ValueError
-    # for non-finite input; an IndexError where the cumulative sum overflows)
+    # one sum for the finiteness and idempotence tests: the same bytes, and a
+    # ValueError wherever the full-scan oracle raises (a ValueError for
+    # non-finite input; an IndexError where the cumulative sum overflows,
+    # which the projection names)
     v = np.array(values, dtype=np.float64)
     try:
         want = simplex_projection_oracle(v)
-    except (ValueError, IndexError) as exc:
-        with pytest.raises(type(exc)):
+    except ValueError:
+        with pytest.raises(ValueError):
+            project_simplex(v)
+        return
+    except IndexError:
+        with pytest.raises(ValueError, match="overflows"):
             project_simplex(v)
         return
     got = project_simplex(v)
