@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -289,7 +289,17 @@ def _run_seeds(env: EnvironmentModel, cfgs: List[RunConfig], mu_ref: np.ndarray,
         yield record
 
 
-def _expl_at(record: RunRecord, i: int) -> Optional[float]:
+class _Metrics(NamedTuple):
+    """What the CSV rows read of a ``RunRecord``: its snapshot steps, MSE
+    and exploitability, without the parameters."""
+
+    steps: np.ndarray
+    mse: np.ndarray
+    expl_steps: Optional[np.ndarray]
+    expl_values: Optional[np.ndarray]
+
+
+def _expl_at(record: Union[RunRecord, _Metrics], i: int) -> Optional[float]:
     """The record's exploitability at its i-th snapshot; None if it took none
     there.  Exploitability is only taken at snapshots, in step order, so a
     binary search finds it."""
@@ -310,7 +320,7 @@ def _record_rows(record: RunRecord) -> List[List[str]]:
     return rows
 
 
-def _summary_row(records: Iterable[RunRecord], i: int) -> List[str]:
+def _summary_row(records: Iterable[Union[RunRecord, _Metrics]], i: int) -> List[str]:
     """``[step, mse_mean, mse_std, expl_mean, expl_std]`` over the records at
     snapshot index i, as CSV cells.
 
@@ -331,7 +341,7 @@ def _summary_row(records: Iterable[RunRecord], i: int) -> List[str]:
     return row + [_fmt(expl.mean()), _fmt(_std(expl))]
 
 
-def _aggregate_rows(records: List[RunRecord]) -> List[List[str]]:
+def _aggregate_rows(records: List[_Metrics]) -> List[List[str]]:
     return [_summary_row(records, i) for i in range(records[0].steps.size)]
 
 
@@ -370,7 +380,8 @@ def cmd_run(spec: ExperimentSpec) -> Path:
             ["step", "mse", "exploitability"],
             _record_rows(record),
         )
-        records.append(record)
+        records.append(_Metrics(record.steps, record.mse,
+                                record.expl_steps, record.expl_values))
     _write_csv(
         out_dir / "aggregate.csv",
         ["step", "mse_mean", "mse_std", "expl_mean", "expl_std"],

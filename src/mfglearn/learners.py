@@ -195,21 +195,25 @@ class _OnlineRun:
         The one-hot step eta <- (1 - alpha) eta + alpha e_{s'} keeps a
         non-negative eta non-negative, and every eta this run holds is
         non-negative (initial projection, these steps, ``fp_mix``), so only
-        the sum is tested there.  A general basis tests the sum first and
-        the sign only when the sum passes.  Either way ``project_simplex``
-        is called exactly when eta fails the full test (entries >= 0, sum
-        within ``SIMPLEX_TOL`` of one).
+        the sum is tested there, and ``project_simplex`` is called exactly
+        when eta fails the full test (entries >= 0, sum within
+        ``SIMPLEX_TOL`` of one).  A general basis leaves that test to
+        ``project_simplex`` alone, which is called after every step and
+        returns a copy of an eta that passes it, so eta is summed once per
+        step either way.
         """
         eta = self.eta
         if self.tabular_m:
             eta *= 1.0 - alpha
             eta[s_next] += alpha
-        else:
-            eta -= alpha * semi_gradient_eta(eta, s_next, self.basis)
-        if self.project:
-            if not (abs(float(eta.sum()) - 1.0) <= SIMPLEX_TOL
-                    and (self.tabular_m or eta.min() >= 0.0)):
+            if self.project and not abs(float(eta.sum()) - 1.0) <= SIMPLEX_TOL:
                 self.eta = project_simplex(eta)
+            return
+        g = semi_gradient_eta(eta, s_next, self.basis)
+        g *= alpha
+        eta -= g
+        if self.project:
+            self.eta = project_simplex(eta)
 
     def update_theta(self, s, a, r, s_next, a_next, alpha: float):
         """One TD step with step size alpha, then the ball projection: theta

@@ -162,6 +162,18 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     makes the sum inf or NaN, so only a non-finite sum needs the entrywise
     finiteness scan (a finite input whose sum overflows passes it and goes
     on to the threshold rule), and a sum off one skips the sign test.
+
+    The threshold is found by one scan over the entries sorted in decreasing
+    order, in Python floats: rho is the last i with u_i * i > css_i, where
+    css_i = (u_1 + ... + u_i) - 1, and tau = css_rho / rho.  The running sum
+    adds the entries one at a time in sorted order, which is how ``cumsum``
+    accumulates, and each sum, product, comparison and the division is one
+    rounded IEEE double operation, so every value equals its numpy
+    counterpart bit for bit.  Entries that compare equal may be ordered
+    differently by the two sorts, but only +0.0 and -0.0 differ in bits, and
+    their order decides nothing: a zero leaves a nonzero sum unchanged, a
+    zero sum less one is -1.0 whatever its sign, and the two zeros compare
+    equal.
     """
     v = np.asarray(v, dtype=np.float64)
     total = float(v.sum())
@@ -171,14 +183,15 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
         raise ValueError("project_simplex expects a non-empty vector")
     if abs(total - 1.0) <= SIMPLEX_TOL and v.min() >= 0.0:
         return v.copy()
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho_idx = np.nonzero(u * np.arange(1, v.size + 1) > css)[0]
-    if rho_idx.size == 0:
+    rho, css_rho, acc = 0, 0.0, 0.0
+    for i, u in enumerate(sorted(v.tolist(), reverse=True), 1):
+        acc += u
+        css = acc - 1.0
+        if u * i > css:
+            rho, css_rho = i, css
+    if rho == 0:
         raise ValueError("project_simplex input overflows its cumulative sum")
-    rho = rho_idx[-1] + 1
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
+    return np.maximum(v - css_rho / rho, 0.0)
 
 
 def semi_gradient_theta(

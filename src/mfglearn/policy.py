@@ -38,10 +38,17 @@ def policy_row(op: PolicyOperator, q_row: np.ndarray) -> np.ndarray:
     Softmax subtracts the row max before exponentiating so that huge inverse
     temperatures (e.g. 1e9) cannot overflow.  Argmax puts probability one on
     the lowest-index maximizer.
+
+    The softmax is built in place on one float64 temporary (so an integer
+    row gives a float distribution), and the max and sum are the ufunc
+    reductions that ``ndarray.max`` and ``ndarray.sum`` call.
     """
     if op.kind == "softmax":
-        z = np.exp(op.inverse_temperature * (q_row - q_row.max()))
-        return z / z.sum()
+        z = np.subtract(q_row, np.maximum.reduce(q_row), dtype=np.float64)
+        z *= op.inverse_temperature
+        np.exp(z, out=z)
+        z /= np.add.reduce(z)
+        return z
     out = np.zeros(q_row.shape[0])
     out[int(np.argmax(q_row))] = 1.0
     return out

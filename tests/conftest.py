@@ -96,6 +96,40 @@ def simplex_projection_oracle(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
+class FixedDraws:
+    """Minimal rng stub returning a scripted sequence of uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def policy_row_oracle(op, q_row: np.ndarray) -> np.ndarray:
+    """Frozen copy of ``policy_row`` as it was before the softmax was built
+    in place; its bytes are the contract of the current one."""
+    if op.kind == "softmax":
+        z = np.exp(op.inverse_temperature * (q_row - q_row.max()))
+        return z / z.sum()
+    out = np.zeros(q_row.shape[0])
+    out[int(np.argmax(q_row))] = 1.0
+    return out
+
+
+def sample_action_oracle(dist: np.ndarray, rng: np.random.Generator) -> int:
+    """Frozen copy of ``sample_action``: the inverse-CDF draw every seeded
+    run's actions come from."""
+    cdf = dist.cumsum()
+    u = rng.random()
+    idx = int(cdf.searchsorted(u, side="right"))
+    if idx >= dist.shape[0]:
+        idx = dist.shape[0] - 1
+    if dist[idx] == 0.0:  # guard against u landing past the float total mass
+        idx = int(np.nonzero(dist)[0][-1])
+    return idx
+
+
 def eta_on_simplex(eta: np.ndarray, tol: float = SIMPLEX_TOL) -> bool:
     """True iff every entry is >= 0 and the sum is within ``tol`` of one."""
     eta = np.asarray(eta)

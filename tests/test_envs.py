@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from mfglearn.envs import (
 )
 from mfglearn.metrics import dense_policy_kernel
 
-from .conftest import kernel_row
+from .conftest import FixedDraws, kernel_row
 
 
 def eigen_stationary(p):
@@ -108,6 +110,42 @@ def test_shared_sampler_repeats_the_old_streams(make_env, make_old):
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
     if env.name == "sioux-falls":  # deterministic transitions draw nothing
         assert rng_new.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+@pytest.mark.parametrize("make_env", [
+    lambda: ring_road_env(50),
+    lambda: flocking_env(50),
+    sioux_falls_env,
+    lambda: toy_finite_env(3, 2, seed=7),
+    lambda: toy_finite_env(6, 6, seed=3, eps=0.5),
+    lambda: toy_finite_env(4, 3, seed=8, eps=0.0, kernel_rank=2),
+], ids=["ring-road-50", "flocking-50", "sioux-falls", "toy-3x2-seed7", "toy-6x6-eps05",
+        "toy-rank2-eps0"])
+def test_draws_follow_the_kernel_support_row_exactly(make_env):
+    # a uniform at each running sum of the row kernel_support(mu)[s, a], or
+    # one ulp below it, selects the successor the inverse CDF over that row
+    # selects, so a draw reads running sums equal to that row's bit for bit
+    # (a draw that builds its row apart from the whole arrays must keep this)
+    env = make_env()
+    n = env.n_states
+    rng = np.random.default_rng(13)
+    mus = [rng.dirichlet(np.ones(n)), np.full(n, 1.0 / n)]
+    mus += [np.eye(n)[c] for c in (0, n // 2, n - 1)]
+    for mu in mus:
+        idx_all, probs_all = env.kernel_support(mu)
+        for _ in range(20):
+            s = int(rng.integers(n))
+            feas = feasible_actions(env, s)
+            a = int(feas[rng.integers(len(feas))])
+            idx, probs = idx_all[s, a], probs_all[s, a]
+            if idx.shape[0] == 1:  # deterministic: no draw
+                assert env.sample_next(s, a, mu, FixedDraws([])) == idx[0]
+                continue
+            sums = list(accumulate(probs.tolist()))
+            for acc in sums[:-1]:
+                for u in (float(np.nextafter(acc, -np.inf)), acc):
+                    want = next((i for i, c in enumerate(sums) if u < c), len(sums) - 1)
+                    assert env.sample_next(s, a, mu, FixedDraws([u])) == idx[want]
 
 
 def reward_test_populations(n, seed):

@@ -375,18 +375,19 @@ def test_model_based_fpi_fp_determinism(toy_env):
 # -- FPI policy-row cache -------------------------------------------------------
 
 
-def _uncached_fpi_trace(env, cfg, variant, phi=None):
+def _uncached_fpi_trace(env, cfg, variant, phi=None, basis=None):
     """Online FPI written out apart from the learners' shared pass loop,
     without its per-pass row cache and without its projection guards: every
     draw computes its policy row from a copy of the frozen Q, the backward
     pass recomputes step sizes, every sample runs the full simplex test
     (sign and sum) and takes the exact norm of theta, and the simplex
-    projection is the frozen oracle.  Returns the parameter after each pass
-    and the sample indices at which the ball projection fired."""
+    projection is the frozen oracle.  ``phi`` and ``basis`` default to the
+    one-hot map and basis.  Returns the parameter after each pass and the
+    sample indices at which the ball projection fired."""
     from mfglearn import learners
     from mfglearn.policy import softmax_operator
 
-    phi, basis, pol = learners._defaults(env, cfg, phi, None, None)
+    phi, basis, pol = learners._defaults(env, cfg, phi, basis, None)
     if variant == "er":
         pol = softmax_operator(pol.inverse_temperature / learners.ER_TEMPERATURE_DIVISOR)
     run = learners._OnlineRun(env, phi, basis, pol, cfg.gamma, cfg.ball_radius)
@@ -517,6 +518,57 @@ def test_ball_guard_matches_the_exact_norm_every_sample(env_tag, algorithm, k, f
     for g, w in zip(got, want):
         assert g.theta.tobytes() == w.theta.tobytes()
         assert g.eta.tobytes() == w.eta.tobytes()
+
+
+def _two_cell_basis(env):
+    """Basis measure i puts mass 1/2 on cells i and i + 1 (cyclically): the
+    densities are doubly stochastic, so a population step keeps the sum of
+    eta at one and only the sign test decides whether eta left the simplex."""
+    from mfglearn.lfa import MeasureBasis, gram_matrix
+
+    n = env.n_states
+    dens = 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
+    return MeasureBasis(d2=n, densities=dens, delta=1.0, gram=gram_matrix(dens, 1.0),
+                        norm_bound=1.0)
+
+
+@pytest.mark.parametrize("basis_tag", ["tan-normal-5", "tan-normal-20", "two-cell"])
+def test_pa_lfa_matches_the_oracle_trace_after_every_pass(basis_tag):
+    # a general population basis: tan-normal on ring-road-200, as compare-lfa
+    # runs it, and the two-cell basis on ring-road-50; the learners' in-place
+    # eta step and the projection's own simplex test against the written-out
+    # step, the full test and the frozen projection
+    from mfglearn.cli import default_ball_radius
+    from mfglearn.lfa import tan_normal_basis
+
+    if basis_tag == "two-cell":
+        env = ring_road_env(50)
+        basis = _two_cell_basis(env)
+    else:
+        env = ring_road_env(200)
+        basis = tan_normal_basis(env.states, int(basis_tag[len("tan-normal-"):]))
+    for algorithm, k in (("semisgd", 1), ("fpi-vanilla", 10), ("fpi-fp", 10)):
+        cfg = RunConfig(
+            total_steps=200,
+            schedule=StepSizeSchedule("constant", 0.05),
+            gamma=env.gamma,
+            inverse_temperature=1e9,
+            ball_radius=default_ball_radius(env),
+            seed=basis.d2 + k,
+            inner_k=k,
+            algorithm=algorithm,
+            cadence=100,
+            expl_every=None,
+        )
+        learn = run_semisgd if algorithm == "semisgd" else run_online_fpi
+        got = learn(env, cfg, basis=basis, record_params=True).param_trace
+        variant = "vanilla" if algorithm == "semisgd" else algorithm[len("fpi-"):]
+        want, _ = _uncached_fpi_trace(env, cfg, variant, basis=basis)
+        assert len(got) == len(want) == 200 // k
+        for g, w in zip(got, want):
+            assert g.theta.tobytes() == w.theta.tobytes(), (algorithm, basis_tag)
+            assert g.eta.tobytes() == w.eta.tobytes(), (algorithm, basis_tag)
+        del got, want
 
 
 def test_run_online_fpi_computes_one_row_per_visited_state_per_pass(toy_env, monkeypatch):

@@ -276,6 +276,17 @@ _HUGE = st.floats(min_value=1e306, max_value=np.finfo(np.float64).max)
 @example([np.inf, -np.inf])
 @example([np.nan])
 @example([0.25, 0.25, 0.5])
+@example([-0.0])  # d = 1, 5, 20 and 200 with ties and signed zeros
+@example([0.0])
+@example([3.5])
+@example([0.5, -0.0, 0.5, 0.0, 0.5])
+@example([-0.0, 0.0, -0.0, 0.0, -0.0])
+@example([0.75, 0.75, -0.25, -0.0, 0.75])
+@example([0.125] * 8 + [-0.0, 0.0] * 6)
+@example([0.5] * 10 + [-0.5] * 5 + [-0.0, 0.0] * 2 + [0.5])
+@example([(i % 7) / 10.0 - 0.3 if i % 5 else -0.0 for i in range(200)])  # ties, +0.0 and -0.0
+@example([0.02] * 100 + [-0.0] * 50 + [0.0] * 50)
+@example([1.0] + [-0.0, 0.0] * 99 + [1.0])
 def test_project_simplex_matches_the_two_reduction_oracle(values):
     # one sum for the finiteness and idempotence tests: the same bytes, and a
     # ValueError wherever the full-scan oracle raises (a ValueError for

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfglearn.core import ConfigError
+from mfglearn.envs import sioux_falls_env
 from mfglearn.policy import (
     argmax_operator,
     policy_matrix,
@@ -12,15 +13,7 @@ from mfglearn.policy import (
     softmax_operator,
 )
 
-
-class FixedDraws:
-    """Minimal rng stub returning a scripted sequence of uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
+from .conftest import FixedDraws, policy_row_oracle, sample_action_oracle
 
 
 def test_softmax_uniform_on_equal_values():
@@ -32,6 +25,15 @@ def test_softmax_closed_form_pair():
     dist = policy_row(softmax_operator(1.0), np.array([1.0, 0.0]))
     e = np.e
     np.testing.assert_allclose(dist, [e / (1 + e), 1 / (1 + e)], atol=1e-12)
+
+
+def test_softmax_of_an_integer_row_is_the_float_row_softmax():
+    for beta in (1.0, 1e3):
+        q = np.array([1, 2, 2, -5])
+        dist = policy_row(softmax_operator(beta), q)
+        want = policy_row_oracle(softmax_operator(beta), q)
+        assert dist.dtype == np.float64 and dist.tobytes() == want.tobytes()
+        assert dist.tobytes() == policy_row(softmax_operator(beta), q.astype(float)).tobytes()
 
 
 def test_argmax_breaks_ties_at_lowest_index():
@@ -98,3 +100,63 @@ def test_policy_matrix_respects_feasibility():
 def test_operator_validation():
     with pytest.raises(ConfigError):
         softmax_operator(0.0)
+
+
+BETAS = (1e2, 1e3, 1e6, 1e9)
+
+
+def _oracle_rows(n_actions, beta, rng):
+    """Q rows for one action count: random, exact ties at the max and below
+    it, all equal, signed zeros, and gaps just short of, at and far past
+    the point where exp(-beta * gap) underflows to subnormals and to zero."""
+    rows = [
+        rng.normal(size=n_actions),
+        rng.integers(0, 3, size=n_actions).astype(float),  # exact ties
+        np.full(n_actions, -4.25),
+        np.zeros(n_actions),
+        np.where(rng.random(n_actions) < 0.5, -0.0, 0.0),
+    ]
+    for gap in (700.0, 745.0, 760.0, 1e6):
+        row = -gap / beta * rng.integers(0, 3, size=n_actions)
+        rows.append(row)
+        rows.append(row + rng.normal(scale=1e-3 / beta, size=n_actions))
+    rows.append(1e3 * rng.normal(size=n_actions))
+    return rows
+
+
+def _assert_matches_oracle(op, q_row, seed):
+    got, want = policy_row(op, q_row), policy_row_oracle(op, q_row)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), q_row
+    rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert sample_action(got, rng) == sample_action_oracle(want, rng_oracle)
+    assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("n_actions", [1, 2, 5, 20, 200])
+def test_policy_row_and_draws_match_the_frozen_oracle(beta, n_actions):
+    rng = np.random.default_rng(int(beta) % 9973 + n_actions)
+    for op in (softmax_operator(beta), argmax_operator()):
+        for i, q_row in enumerate(_oracle_rows(n_actions, beta, rng)):
+            _assert_matches_oracle(op, q_row, seed=i)
+            # rows of an (S, A) table, as the learner passes them: a
+            # contiguous row and a strided one
+            table = np.stack([q_row, -q_row])
+            _assert_matches_oracle(op, table[0], seed=i)
+            _assert_matches_oracle(op, np.asfortranarray(table)[0], seed=i)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_policy_on_sioux_falls_feasible_subsets_matches_the_frozen_oracle(beta):
+    env = sioux_falls_env()
+    feasible = env.actions.feasible
+    rng = np.random.default_rng(7)
+    for q in (rng.normal(size=(env.n_states, env.n_actions)),
+              rng.integers(0, 2, size=(env.n_states, env.n_actions)) * -1e-9):
+        for op in (softmax_operator(beta), argmax_operator()):
+            want = np.zeros_like(q)
+            for s, feas in enumerate(feasible):
+                _assert_matches_oracle(op, q[s, feas], seed=s)
+                want[s, feas] = policy_row_oracle(op, q[s, feas])
+            assert policy_matrix(op, q, feasible).tobytes() == want.tobytes()
