@@ -136,7 +136,6 @@ def make_run_config(spec: ExperimentSpec, env: EnvironmentModel, seed: int) -> R
     return RunConfig(
         total_steps=spec.steps,
         schedule=StepSizeSchedule(spec.schedule_kind, spec.alpha, spec.schedule_b),
-        gamma=env.gamma,
         inverse_temperature=spec.temperature(),
         ball_radius=radius,
         seed=seed,
@@ -398,13 +397,12 @@ def cmd_sweep_k(spec: ExperimentSpec, k_list: List[int]) -> Path:
     held at a time.  Only the final exploitability of each run reaches
     ``sweep_k.csv``, and only when T is a multiple of ``expl_every``; each
     run then computes it at t = 0 and t = T alone (``expl_every = T``), and
-    otherwise not at all, leaving both exploitability cells blank.
+    otherwise not at all, leaving both exploitability cells blank.  A K
+    outside [1, T] fails in ``RunConfig`` while the configs are built,
+    before a reference is solved or a directory made.
     """
     if not k_list:
         raise ConfigError("sweep-k needs a non-empty K list")
-    for k in k_list:
-        if k < 1 or k > spec.steps:
-            raise ConfigError(f"inner K = {k} must lie in [1, T = {spec.steps}]")
     if spec.algorithm == "semisgd":
         spec = replace(spec, algorithm="fpi-vanilla")
     written = bool(spec.expl_every) and spec.steps % spec.expl_every == 0

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -28,23 +28,20 @@ class ConfigError(ValueError):
 class StateSpace:
     """Finite state space, either an interval grid or a set of graph edges.
 
-    For ``kind="grid"`` the grid covers the unit interval, so
-    ``size * delta == 1``.  Graph-edge spaces use ``delta = 1``.
+    For ``kind="grid"`` the grid covers the unit interval, so ``delta`` is
+    ``1 / size``.  Graph-edge spaces use ``delta = 1``.
     """
 
     size: int
     kind: str = "grid"  # "grid" | "edges"
-    delta: float = 1.0
+    delta: float = field(init=False)
 
     def __post_init__(self):
         if self.size < 1:
             raise ConfigError(f"state space size must be >= 1, got {self.size}")
         if self.kind not in ("grid", "edges"):
             raise ConfigError(f"unknown state space kind {self.kind!r}")
-        if self.kind == "grid" and abs(self.size * self.delta - 1.0) > 1e-9:
-            raise ConfigError(
-                f"grid must cover the unit interval: size*delta = {self.size * self.delta}"
-            )
+        object.__setattr__(self, "delta", 1.0 / self.size if self.kind == "grid" else 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +128,11 @@ ALGORITHMS = ("semisgd", "fpi-vanilla", "fpi-fp", "fpi-md", "fpi-er")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Configuration of one learning run."""
+    """Configuration of one learning run.  The discount is the game's
+    (``EnvironmentModel.gamma``)."""
 
     total_steps: int
     schedule: StepSizeSchedule
-    gamma: float
     inverse_temperature: float
     ball_radius: float
     seed: int
@@ -147,8 +144,6 @@ class RunConfig:
     def __post_init__(self):
         if self.total_steps < 0:
             raise ConfigError("total_steps must be >= 0")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ConfigError(f"discount must lie in [0,1), got {self.gamma}")
         if self.inverse_temperature <= 0:
             raise ConfigError("inverse temperature must be positive")
         if self.ball_radius <= 0:

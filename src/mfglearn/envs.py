@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import ActionSpace, StateSpace
+from .core import ActionSpace, ConfigError, StateSpace
 
 
 class NetworkLoadError(ValueError):
@@ -49,6 +49,9 @@ class EnvironmentModel:
     walks the support row in its stored order, so the order of the m
     successors fixes which successor each uniform draw selects.  A support
     with m = 1 is deterministic and its draw consumes no random number.
+
+    ``gamma``, in [0, 1), is the one discount that the learners, the
+    reference solver and the metrics all read.
     """
 
     name: str
@@ -63,6 +66,10 @@ class EnvironmentModel:
     reward_bound: float
     population_independent: bool
     extras: Optional[dict] = None
+
+    def __post_init__(self):
+        if not (0.0 <= self.gamma < 1.0):
+            raise ConfigError(f"discount must lie in [0,1), got {self.gamma}")
 
     @property
     def n_states(self) -> int:
@@ -147,8 +154,8 @@ def ring_road_env(size: int = 50) -> EnvironmentModel:
     with b(s) = 0.2 (sin(4 pi s) + 2), mu_jam = 3/size, and discount
     gamma = 1 - ds.
     """
-    delta = 1.0 / size
-    states = StateSpace(size=size, kind="grid", delta=delta)
+    states = StateSpace(size=size, kind="grid")
+    delta = states.delta
     actions = ActionSpace(size=size)
     coords = np.arange(size) * delta
     a_vals = np.arange(size) * delta  # a_max = 1
@@ -205,8 +212,8 @@ def flocking_env(
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    delta = 1.0 / size
-    states = StateSpace(size=size, kind="grid", delta=delta)
+    states = StateSpace(size=size, kind="grid")
+    delta = states.delta
     actions = ActionSpace(size=size)
     coords = np.arange(size) * delta
     a_vals = np.arange(size) * delta

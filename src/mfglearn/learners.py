@@ -18,7 +18,7 @@ and fictitious-play averaging of the population iterates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -43,6 +43,7 @@ from .lfa import (
 )
 from .metrics import (
     _exploitability_at,
+    exploitability,
     induced_population,
     q_table,
     value_iteration,
@@ -73,10 +74,10 @@ class ReferenceSolution:
     mu_star: np.ndarray  # (S,)
     iterations: int
     final_exploitability: float
-    outer_iters: int = 300  # the solver's iteration budget
-    converged: bool = False  # whether the stopping rule fired within it
-    expl_iterations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    expl_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    outer_iters: int  # the solver's iteration budget
+    converged: bool  # whether the stopping rule fired within it
+    expl_iterations: np.ndarray
+    expl_trace: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,9 @@ class _OnlineRun:
 
     Holds flat parameter vectors plus a tabular (S, A) view of theta when
     the feature map is one-hot, the current chain position, and the run's
-    generator.  General bases and feature maps use the
-    semi-gradients of ``lfa``; the one-hot cases apply the same rules at a
-    single index.
+    generator.  The TD discount is the game's, ``env.gamma``.  General bases
+    and feature maps use the semi-gradients of ``lfa``; the one-hot cases
+    apply the same rules at a single index.
     """
 
     def __init__(
@@ -109,7 +110,6 @@ class _OnlineRun:
         phi: FeatureMap,
         basis: MeasureBasis,
         pol: PolicyOperator,
-        gamma: float,
         radius: float,
         project: bool = True,
     ):
@@ -118,7 +118,7 @@ class _OnlineRun:
         self.basis = basis
         self.pol = pol
         self.project = project
-        self.gamma = gamma
+        self.gamma = env.gamma
         self.radius = radius
         self.tabular_q = phi.one_hot
         self.tabular_m = basis.identity_gram and basis.d2 == env.n_states
@@ -314,14 +314,14 @@ class _Recorder:
         )
 
 
-def _defaults(env, cfg, phi, basis, pol):
+def _defaults(env, cfg, phi, basis):
+    """The one-hot feature map and basis where none is given, and the
+    softmax policy at ``cfg.inverse_temperature``."""
     if phi is None:
         phi = one_hot_feature_map(env.states, env.actions)
     if basis is None:
         basis = one_hot_measure_basis(env.states)
-    if pol is None:
-        pol = softmax_operator(cfg.inverse_temperature)
-    return phi, basis, pol
+    return phi, basis, softmax_operator(cfg.inverse_temperature)
 
 
 def fp_mix(eta_hist: np.ndarray, eta_new: np.ndarray, alpha: float) -> np.ndarray:
@@ -345,7 +345,6 @@ def _run_passes(
     k: int,
     phi: Optional[FeatureMap],
     basis: Optional[MeasureBasis],
-    pol: Optional[PolicyOperator],
     mu_ref: Optional[np.ndarray],
     ref_map: Optional[np.ndarray],
     record_params: bool,
@@ -359,12 +358,10 @@ def _run_passes(
     pass boundary, t = T included, is taken after the pass's value update
     and mixing.  A parameter is recorded after every pass.
     """
-    phi, basis, pol = _defaults(env, cfg, phi, basis, pol)
+    phi, basis, pol = _defaults(env, cfg, phi, basis)
     if algorithm == "fpi-er":
-        if pol.kind != "softmax":
-            raise ConfigError("the ER variant needs a softmax policy operator")
         pol = softmax_operator(pol.inverse_temperature / ER_TEMPERATURE_DIVISOR)
-    run = _OnlineRun(env, phi, basis, pol, cfg.gamma, cfg.ball_radius, project=project)
+    run = _OnlineRun(env, phi, basis, pol, cfg.ball_radius, project=project)
     run.init_from_seed(cfg.seed)
     rec = _Recorder(run, cfg.cadence, cfg.expl_every, mu_ref, ref_map, record_params)
     rec.snapshot(0)
@@ -407,7 +404,6 @@ def run_semisgd(
     cfg: RunConfig,
     phi: Optional[FeatureMap] = None,
     basis: Optional[MeasureBasis] = None,
-    pol: Optional[PolicyOperator] = None,
     mu_ref: Optional[np.ndarray] = None,
     ref_map: Optional[np.ndarray] = None,
     record_params: bool = False,
@@ -419,10 +415,12 @@ def run_semisgd(
     and then the value weights with the same step size, and every snapshot
     sees both updates.  Snapshots are taken at t = 0, every ``cfg.cadence``
     steps, and at t = T.  ``project = False`` turns off the ball and simplex
-    projections.  The record is a deterministic function of (env, cfg).
+    projections.  The policy is the softmax at ``cfg.inverse_temperature``
+    and the discount ``env.gamma``, so the record is a deterministic
+    function of (env, cfg).
     """
-    return _run_passes(env, cfg, "semisgd", 1, phi, basis, pol, mu_ref, ref_map,
-                       record_params, project)
+    return _run_passes(env, cfg, "semisgd", 1, phi, basis, mu_ref, ref_map, record_params,
+                       project)
 
 
 def run_online_fpi(
@@ -430,7 +428,6 @@ def run_online_fpi(
     cfg: RunConfig,
     phi: Optional[FeatureMap] = None,
     basis: Optional[MeasureBasis] = None,
-    pol: Optional[PolicyOperator] = None,
     mu_ref: Optional[np.ndarray] = None,
     ref_map: Optional[np.ndarray] = None,
     record_params: bool = False,
@@ -452,7 +449,7 @@ def run_online_fpi(
     if not cfg.algorithm.startswith("fpi-"):
         raise ConfigError(f"config algorithm {cfg.algorithm!r} is not an FPI variant")
     # RunConfig holds an FPI variant's inner_k in [1, T]
-    return _run_passes(env, cfg, cfg.algorithm, cfg.inner_k, phi, basis, pol, mu_ref, ref_map,
+    return _run_passes(env, cfg, cfg.algorithm, cfg.inner_k, phi, basis, mu_ref, ref_map,
                        record_params)
 
 
@@ -504,8 +501,7 @@ def model_based_fpi_fp(
     if np.array_equal(np.argmax(pi_star, axis=1), greedy):
         final_expl = _exploitability_at(pi_star, env, mu_star)
     else:
-        mu_pi = induced_population(pi_star, env)
-        final_expl = _exploitability_at(pi_star, env, mu_pi)
+        final_expl = exploitability(pi_star, env)
     return ReferenceSolution(
         q_star=q_star,
         mu_star=mu_star,

@@ -53,24 +53,23 @@ class MeasureBasis:
     """Family of d2 probability measures over the grid plus its Gram matrix.
 
     ``densities`` has shape (d2, n_states); row i holds the density values
-    of basis measure i (so ``delta * densities[i].sum() == 1``).  ``masses``
-    is ``delta * densities``; each row sums to one.
+    of basis measure i (so ``delta * densities[i].sum() == 1``).  ``d2`` and
+    ``gram``, which is ``gram_matrix(densities, delta)``, derive from them.
+    ``masses`` is ``delta * densities``; each row sums to one.
     """
 
-    d2: int
     densities: np.ndarray
     delta: float
-    gram: np.ndarray
-    norm_bound: float
+    d2: int = field(init=False)
+    gram: np.ndarray = field(init=False)
     masses: np.ndarray = field(init=False)
     identity_gram: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "d2", self.densities.shape[0])
+        object.__setattr__(self, "gram", gram_matrix(self.densities, self.delta))
         object.__setattr__(self, "masses", self.densities * self.delta)
-        ident = self.gram.shape[0] == self.gram.shape[1] and np.array_equal(
-            self.gram, np.eye(self.d2)
-        )
-        object.__setattr__(self, "identity_gram", bool(ident))
+        object.__setattr__(self, "identity_gram", np.array_equal(self.gram, np.eye(self.d2)))
 
     def evaluate(self, s: int) -> np.ndarray:
         """Density values of the d2 basis measures at state s."""
@@ -99,11 +98,7 @@ def gram_matrix(densities: np.ndarray, delta: float) -> np.ndarray:
 
 def one_hot_measure_basis(states: StateSpace) -> MeasureBasis:
     """Dirac basis: one unit mass per state; Gram matrix is the identity."""
-    n = states.size
-    dens = np.eye(n)
-    return MeasureBasis(
-        d2=n, densities=dens, delta=1.0, gram=np.eye(n), norm_bound=1.0
-    )
+    return MeasureBasis(densities=np.eye(states.size), delta=1.0)
 
 
 def tan_normal_basis(
@@ -143,11 +138,7 @@ def tan_normal_basis(
     if np.any(totals <= 0.0):
         bad = int(np.argmin(totals))
         raise BasisError(f"basis function {bad} is identically <= 0 after clamping")
-    dens = raw / totals[:, None]
-
-    g = gram_matrix(dens, delta)
-    norm_bound = float(np.abs(dens).sum(axis=0).max())
-    return MeasureBasis(d2=d2, densities=dens, delta=delta, gram=g, norm_bound=norm_bound)
+    return MeasureBasis(densities=raw / totals[:, None], delta=delta)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

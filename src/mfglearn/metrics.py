@@ -25,6 +25,7 @@ from .lfa import FeatureMap, MeasureBasis
 from .policy import PolicyOperator, policy_matrix
 
 _POP_TOL = 1e-12  # l1 change of a sweep at which a population counts as fixed
+_PLAIN_SWEEPS = 200  # plain sweeps of a stationary solve before repeated squaring
 _MAX_SWEEPS = 10**6
 _MAX_POLICY_STEPS = 1000
 _PI_SLACK = 1e-13  # times R / (1 - gamma): smallest improvement that switches an action
@@ -55,16 +56,16 @@ def dense_policy_kernel(pi: np.ndarray, env: EnvironmentModel, mu: np.ndarray) -
     return _dense_rows(idx, pi[:, :, None] * probs)
 
 
-def _stationary_of_dense(p: np.ndarray, plain_limit: int = 200) -> np.ndarray:
+def _stationary_of_dense(p: np.ndarray) -> np.ndarray:
     """Fixed point of m <- m @ p from the uniform start.
 
-    Plain sweeps first; if those stall, repeated squaring of the damped
-    kernel (I + p)/2, which has the same fixed points and converges for
-    periodic chains as well.
+    ``_PLAIN_SWEEPS`` plain sweeps first; if those stall, repeated squaring
+    of the damped kernel (I + p)/2, which has the same fixed points and
+    converges for periodic chains as well.
     """
     n = p.shape[0]
     m = np.full(n, 1.0 / n)
-    for _ in range(plain_limit):
+    for _ in range(_PLAIN_SWEEPS):
         m_next = m @ p
         if np.abs(m_next - m).sum() < _POP_TOL:
             return m_next

@@ -19,7 +19,6 @@ from mfglearn.lfa import (
     one_hot_measure_basis,
     project_simplex,
     semi_gradient_eta,
-    gram_matrix,
 )
 from mfglearn.lfa import MeasureBasis
 from mfglearn.metrics import induced_population, mean_path_semigradient, span_residual
@@ -38,7 +37,6 @@ def ring_cfg(env, seed, algorithm="semisgd", inner_k=None, steps=100_000):
     return RunConfig(
         total_steps=steps,
         schedule=StepSizeSchedule("constant", 1e-3),
-        gamma=env.gamma,
         inverse_temperature=1e9,
         ball_radius=np.sqrt(env.n_states * env.n_actions) * env.reward_bound / (1 - env.gamma),
         seed=seed,
@@ -90,7 +88,6 @@ def test_criterion_03_implicit_regularization():
         cfg = RunConfig(
             total_steps=10_000,
             schedule=StepSizeSchedule("constant", 0.1),
-            gamma=env.gamma,
             inverse_temperature=50.0,
             ball_radius=1e9,
             seed=seed,
@@ -114,7 +111,7 @@ def test_criterion_04_k1_equivalence():
     identical = True
     for seed in range(3):
         cfg_s = RunConfig(total_steps=1000, schedule=StepSizeSchedule("constant", 1e-2),
-                          gamma=env.gamma, inverse_temperature=50.0, ball_radius=10.0,
+                          inverse_temperature=50.0, ball_radius=10.0,
                           seed=seed, cadence=100, expl_every=None)
         cfg_f = replace(cfg_s, algorithm="fpi-vanilla", inner_k=1)
         a = run_semisgd(env, cfg_s, record_params=True)
@@ -157,11 +154,7 @@ def test_criterion_06_linear_mfg_representability():
     # basis spanning the kernel factors (and thereby every induced
     # population) plus the uniform mixing-target direction
     rows = np.vstack([factors, np.full(4, 0.25)])
-    basis = MeasureBasis(
-        d2=3, densities=rows, delta=1.0,
-        gram=gram_matrix(rows, 1.0),
-        norm_bound=float(np.abs(rows).sum(axis=0).max()),
-    )
+    basis = MeasureBasis(densities=rows, delta=1.0)
     rng = np.random.default_rng(100)
     worst = 0.0
     for _ in range(10):

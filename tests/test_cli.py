@@ -459,9 +459,11 @@ def test_variant_needs_an_fpi_algorithm(tmp_path, capsys):
     assert cli.spec_from_args(args).algorithm == "fpi-er"
 
 
-# SHA-256 of every output file of three small specs, recorded with numpy 2.4
+# SHA-256 of every output file of seven small specs, recorded with numpy 2.4
 # on x86-64.  Speed changes must keep result bytes; a change that moves them
-# on purpose updates these digests and says why.
+# on purpose updates these digests and says why.  The last four pin the ER
+# policy, a grid's cell width (flocking), a derived tan-normal Gram matrix
+# and a Sioux Falls reference.
 GOLDEN_DIGESTS = {
     "toy-run": {
         "aggregate.csv": "075690c41dbe7fbbe2657fc0e274be37252654dfb560540cd40455e1083c0668",
@@ -484,18 +486,65 @@ GOLDEN_DIGESTS = {
     "compare-lfa": {
         "compare_lfa.csv": "937f836495e7e1377ad659d38df6f4cc942281ee387916aa9a7bf7134423b5b5",
     },
+    "toy-run-fpi-er": {
+        "aggregate.csv": "42ebd691190300a1525433d0f0f7385692a9f9e08080b36e34cff63b035eac93",
+        "reference/meta.json": "33c9637c6a99b0643253464a728444900a7e14ee062ecd23aef49daaf2779e98",
+        "reference/mu_star.txt": "d3a7e9d78ee91facec21589c0054e243213991dc5d278c6e319529b0bbd64a57",
+        "reference/q_star.txt": "4eabc8e38b590da68810696e0c8d20183fd989b3e21fefc6acf6f9443d6ef96e",
+        "reference/reference.csv":
+            "3ec93e930e5f024e922f4f27c39b3799a0012397966abd73c9c8201322ec1853",
+        "run_seed0.csv": "9be035c320b9af9fabf82638e559cd6e2fa6b3500daefe7c6ff623958a484736",
+        "run_seed1.csv": "4bed20850105749223eae30b5dc445335924dd28e6d6204a9a027d02c8dd9a33",
+    },
+    "flocking-run": {
+        "aggregate.csv": "36c83faba87dc71ee967d74c7442eb8d8a7214e8f511f37864df5afa2855d831",
+        "reference/meta.json": "9bf55c3a143e851e6624a5f54662a91d543a94cc832d6d0f45305510758d37c5",
+        "reference/mu_star.txt": "dc1191db4052fdc056fc49eb625cdf693c6bf69e12d069ef23cc59d4af70ddeb",
+        "reference/q_star.txt": "739b28546e663d02085d9149ac41e845b547b0f969faa81d340c683e6fdf9204",
+        "reference/reference.csv":
+            "d24783148c2bce9017cff9c9affe7d14398a6be1d7168a6f05e840f4a81facf6",
+        "run_seed0.csv": "979a93133f862f696191cf59b7330d3fdef3c626fc9bfce06476820a195c24cd",
+        "run_seed1.csv": "269acc48c06643eb67a35590ea0398379c3b7c929c7e663786bae88ec8d97010",
+    },
+    "ring-road-tan-normal-run": {
+        "aggregate.csv": "e71792cc34a227f2a653648cc6d47e585c140f2ad24ed4a87041a8476e7662e0",
+        "reference/meta.json": "c7e513f85ab98953744f006ea44418800bf4748fa9e428daa489d362a6f30017",
+        "reference/mu_star.txt": "b1adf8b7935edbe6d51c8569ca7cb4062a46bd2f05c62f806647ca188a11b093",
+        "reference/q_star.txt": "2c67f55c9b496f31c8095ef69111db4d57fd8f2f075b795957d5dad2fab2ab17",
+        "reference/reference.csv":
+            "af2a083f781a7cfcd2f48e0daa7403665b335442683218f2da7a039cd2d1f75d",
+        "run_seed0.csv": "ac2a7353d712025b498a2ac015fb28c271a015b5f36aaeb011437f08868c2dbd",
+        "run_seed1.csv": "d7632db76faea1181a2b6e9a17366b47b3aadbdbc6ab37e8f8cdfef7e0a16811",
+    },
+    "sioux-falls-reference": {
+        "meta.json": "e304eaeb9e4c92b9bbf3ffd4381f3cac28d4d8bd868fb28adb57f92e5e34af6c",
+        "mu_star.txt": "d555b1c4006cccab1b0dfc51513f48e663051eacb35ca56688eee48ac11d2c74",
+        "q_star.txt": "ed12ba1f50de8dfffe22424222748f2a82e7b9ced19026ff2c9acd765fe229b0",
+        "reference.csv": "9e255d16748106531ea3631e8a12be28720e8dfe5c214ac83670bfe5faa40dd4",
+    },
 }
 
 
 def test_cli_output_bytes_match_golden_digests(tmp_path, ring200_reference_dir):
     config = tmp_path / "lfa.json"
     config.write_text(json.dumps({"reference": str(ring200_reference_dir)}))
+    tan_normal = tmp_path / "tan_normal.json"
+    tan_normal.write_text(json.dumps({"basis": "tan-normal", "basis_d2": 6}))
+    sioux = tmp_path / "sioux.json"
+    sioux.write_text(json.dumps({"reference_outer_iters": 5}))
     specs = {
         "toy-run": ["run", "--env", "toy", "--steps", "2000", "--seeds", "0,1"],
         "ring-road-50-sweep-k": ["sweep-k", "--env", "ring-road", "--k-list", "1,10",
                                  "--steps", "2000", "--seeds", "0,1"],
         "compare-lfa": ["compare-lfa", "--env", "ring-road", "--d2-list", "5",
                         "--steps", "2000", "--seeds", "0,1", "--config", str(config)],
+        "toy-run-fpi-er": ["run", "--env", "toy", "--algo", "fpi", "--variant", "er",
+                           "--inner-k", "50", "--steps", "2000", "--seeds", "0,1"],
+        "flocking-run": ["run", "--env", "flocking", "--cadence", "500", "--steps", "2000",
+                         "--seeds", "0,1"],
+        "ring-road-tan-normal-run": ["run", "--env", "ring-road", "--steps", "2000",
+                                     "--seeds", "0,1", "--config", str(tan_normal)],
+        "sioux-falls-reference": ["reference", "--env", "sioux-falls", "--config", str(sioux)],
     }
     for name, argv in specs.items():
         out = tmp_path / name

@@ -17,7 +17,6 @@ def make_cfg(**kwargs):
     defaults = dict(
         total_steps=100,
         schedule=StepSizeSchedule("constant", 1e-3),
-        gamma=0.9,
         inverse_temperature=10.0,
         ball_radius=5.0,
         seed=0,
@@ -53,8 +52,11 @@ def test_eta_on_simplex_edge_cases():
 
 
 def test_state_space_grid_must_cover_unit_interval():
-    StateSpace(size=50, kind="grid", delta=0.02)
-    with pytest.raises(ConfigError):
+    # a grid's cell width derives from its size; edge spaces have width one
+    for n in (1, 3, 50, 200):
+        assert StateSpace(n, "grid").delta == 1.0 / n
+    assert StateSpace(7, "edges").delta == 1.0
+    with pytest.raises(TypeError):
         StateSpace(size=50, kind="grid", delta=0.05)
     with pytest.raises(ConfigError):
         StateSpace(size=0)
@@ -81,8 +83,6 @@ def test_schedule_validation():
 
 
 def test_run_config_validation():
-    with pytest.raises(ConfigError):
-        make_cfg(gamma=1.0)
     with pytest.raises(ConfigError):
         make_cfg(inverse_temperature=0.0)
     with pytest.raises(ConfigError):

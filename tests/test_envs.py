@@ -1,9 +1,12 @@
+import dataclasses
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
+from mfglearn.core import ConfigError
 from mfglearn.envs import (
+    EnvironmentModel,
     NetworkLoadError,
     flocking_env,
     ring_road_env,
@@ -458,3 +461,50 @@ def test_toy_env_low_rank_kernel_lies_in_factor_span():
 def test_toy_env_size_limit():
     with pytest.raises(ValueError):
         toy_finite_env(7, 2, seed=0)
+
+
+def test_discount_outside_unit_interval_is_a_config_error():
+    # the game holds the one discount that the learners and the solver read
+    with pytest.raises(ConfigError, match="discount"):
+        toy_finite_env(3, 2, 7, gamma=1.0)
+    env = toy_finite_env(3, 2, 7)
+    model = {f.name: getattr(env, f.name) for f in dataclasses.fields(env)}
+    for gamma in (1.0, -0.1, float("nan")):
+        with pytest.raises(ConfigError, match="discount"):
+            EnvironmentModel(**{**model, "gamma": gamma})
+    assert EnvironmentModel(**{**model, "gamma": 0.0}).gamma == 0.0
+
+
+MODEL_CALLABLES = ("reward", "sample_next", "reward_matrix", "kernel_support")
+
+
+@pytest.mark.parametrize("make_env", [
+    lambda: ring_road_env(20),
+    lambda: flocking_env(20),
+    sioux_falls_env,
+    lambda: toy_finite_env(3, 2, seed=7),
+], ids=["ring-road-20", "flocking-20", "sioux-falls", "toy-3x2-seed7"])
+def test_replace_swaps_in_the_model_callables(make_env):
+    # dataclasses.replace builds each game with wrapped callables, as the
+    # benchmark's tracer does, and leaves the rest of the game as it was
+    env = make_env()
+    calls = []
+
+    def wrap(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    swapped = dataclasses.replace(
+        env, **{name: wrap(name, getattr(env, name)) for name in MODEL_CALLABLES})
+    assert swapped.gamma == env.gamma and swapped.states == env.states
+    mu = env.initial_state
+    a = int(feasible_actions(env, 0)[0])
+    assert swapped.reward(0, a, mu) == env.reward(0, a, mu)
+    assert swapped.reward_matrix(mu).tobytes() == env.reward_matrix(mu).tobytes()
+    assert (swapped.sample_next(0, a, mu, np.random.default_rng(3))
+            == env.sample_next(0, a, mu, np.random.default_rng(3)))
+    for got, want in zip(swapped.kernel_support(mu), env.kernel_support(mu)):
+        assert got.tobytes() == want.tobytes()
+    assert sorted(set(calls)) == sorted(MODEL_CALLABLES)

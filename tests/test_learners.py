@@ -38,7 +38,6 @@ def small_cfg(env, seed=0, steps=500, algorithm="semisgd", inner_k=None, alpha=1
     return RunConfig(
         total_steps=steps,
         schedule=StepSizeSchedule("constant", alpha),
-        gamma=env.gamma,
         inverse_temperature=50.0,
         ball_radius=10.0,
         seed=seed,
@@ -82,7 +81,7 @@ def semisgd_step(env, eta, s, alpha):
     ``eta`` and state s with action 0, as ``run_semisgd`` takes it."""
     phi = one_hot_feature_map(env.states, env.actions)
     run = learners._OnlineRun(env, phi, one_hot_measure_basis(env.states),
-                              argmax_operator(), env.gamma, np.inf)
+                              argmax_operator(), np.inf)
     run.eta = np.array(eta)
     run.s, run.a, run.rng = s, 0, np.random.default_rng(0)
     s, a, r, s_next, a_next = run.chain_step(run.q_table_now(), {})
@@ -119,8 +118,8 @@ def test_run_semisgd_zero_steps_returns_initial(toy_env):
     cfg = small_cfg(toy_env, steps=0)
     rec = run_semisgd(toy_env, cfg)
     np.testing.assert_array_equal(rec.steps, [0])
-    phi, basis, pol = learners._defaults(toy_env, cfg, None, None, None)
-    init = learners._OnlineRun(toy_env, phi, basis, pol, cfg.gamma, cfg.ball_radius)
+    phi, basis, pol = learners._defaults(toy_env, cfg, None, None)
+    init = learners._OnlineRun(toy_env, phi, basis, pol, cfg.ball_radius)
     init.init_from_seed(cfg.seed)
     np.testing.assert_array_equal(rec.final.theta, init.theta)
     np.testing.assert_array_equal(rec.final.eta, init.eta)
@@ -173,7 +172,7 @@ def test_pass_end_snapshots_follow_the_value_update_and_mixing(toy_env, toy_refe
     cfg = replace(small_cfg(toy_env, steps=400, algorithm=algorithm, inner_k=k), expl_every=100)
     mu_ref = toy_reference.mu_star
     rec = run_online_fpi(toy_env, cfg, mu_ref=mu_ref, record_params=True)
-    pol = learners._defaults(toy_env, cfg, None, None, None)[2]
+    pol = learners._defaults(toy_env, cfg, None, None)[2]
     assert rec.steps.tolist() == rec.expl_steps.tolist() == [0, 100, 200, 300, 400]
     for i, t in enumerate(rec.steps.tolist()[1:], start=1):
         xi = rec.param_trace[t // k - 1]
@@ -196,13 +195,6 @@ def test_run_online_fpi_rejects_oversized_k(toy_env):
     with pytest.raises(ConfigError, match="exceeds the sample budget"):
         small_cfg(toy_env, steps=10, algorithm="fpi-vanilla", inner_k=50)
     run_online_fpi(toy_env, small_cfg(toy_env, steps=10, algorithm="fpi-vanilla", inner_k=10))
-
-
-def test_run_online_fpi_er_needs_softmax(toy_env):
-    cfg = small_cfg(toy_env, steps=10, algorithm="fpi-er", inner_k=5)
-    with pytest.raises(ConfigError):
-        run_online_fpi(toy_env, cfg, pol=argmax_operator())
-    run_online_fpi(toy_env, cfg)  # softmax default works
 
 
 def test_run_online_fpi_variants_smoke(toy_env):
@@ -316,7 +308,8 @@ def test_model_based_fpi_fp_matches_value_iteration_solver(make, monkeypatch):
 ], ids=["toy-3x2-seed7", "ring-road-50", "flocking-50", "sioux-falls-unconverged"])
 def test_model_based_fpi_fp_induces_each_population_once(make, outer_iters, monkeypatch):
     # mu_star is the last iterate's induced population; the consistency pass
-    # induces one more only when greedy(q_star) differs from the last greedy policy
+    # induces one more only when greedy(q_star) differs from the last greedy
+    # policy, through metrics.exploitability
     greedy, induced = [], []
 
     def recorded_value_iteration(env, mu):
@@ -331,6 +324,7 @@ def test_model_based_fpi_fp_induces_each_population_once(make, outer_iters, monk
 
     monkeypatch.setattr(learners, "value_iteration", recorded_value_iteration)
     monkeypatch.setattr(learners, "induced_population", recorded_induced_population)
+    monkeypatch.setattr("mfglearn.metrics.induced_population", recorded_induced_population)
     ref = model_based_fpi_fp(make(), outer_iters=outer_iters, expl_every=None)
     assert len(greedy) == ref.iterations + 1
     assert len(induced) == ref.iterations + (0 if np.array_equal(greedy[-1], greedy[-2]) else 1)
@@ -387,10 +381,10 @@ def _uncached_fpi_trace(env, cfg, variant, phi=None, basis=None):
     from mfglearn import learners
     from mfglearn.policy import softmax_operator
 
-    phi, basis, pol = learners._defaults(env, cfg, phi, basis, None)
+    phi, basis, pol = learners._defaults(env, cfg, phi, basis)
     if variant == "er":
         pol = softmax_operator(pol.inverse_temperature / learners.ER_TEMPERATURE_DIVISOR)
-    run = learners._OnlineRun(env, phi, basis, pol, cfg.gamma, cfg.ball_radius)
+    run = learners._OnlineRun(env, phi, basis, pol, cfg.ball_radius)
     run.init_from_seed(cfg.seed)
     theta, eta = run.theta, run.eta  # theta is written in place only
     eta_hist, theta_hist = eta.copy(), theta.copy()
@@ -420,10 +414,10 @@ def _uncached_fpi_trace(env, cfg, variant, phi=None, basis=None):
             alpha = step_size(cfg.schedule, base_t + i)
             if run.tabular_q:
                 q = theta.reshape(env.n_states, env.n_actions)
-                q[s, a] -= alpha * ((q[s, a] - cfg.gamma * q[s_next, a_next]) - r)
+                q[s, a] -= alpha * ((q[s, a] - env.gamma * q[s_next, a_next]) - r)
             else:
                 ob = Observation(s, a, r, s_next, a_next)
-                theta -= alpha * semi_gradient_theta(theta, ob, phi, cfg.gamma)
+                theta -= alpha * semi_gradient_theta(theta, ob, phi, env.gamma)
             norm = float(np.sqrt(theta @ theta))
             if norm > cfg.ball_radius:
                 theta *= cfg.ball_radius / norm
@@ -457,8 +451,7 @@ def test_run_online_fpi_row_cache_is_bit_identical(env_tag, steps):
         cfg = RunConfig(
             total_steps=steps,
             schedule=StepSizeSchedule("constant", 0.05),
-            gamma=env.gamma,
-            inverse_temperature=beta,
+                inverse_temperature=beta,
             ball_radius=default_ball_radius(env),
             seed=k,
             inner_k=k,
@@ -500,7 +493,6 @@ def test_ball_guard_matches_the_exact_norm_every_sample(env_tag, algorithm, k, f
     cfg = RunConfig(
         total_steps=600,
         schedule=StepSizeSchedule("constant", 0.05),
-        gamma=env.gamma,
         inverse_temperature=1e2 if env_tag == "toy" else 1e9,
         ball_radius=radius,
         seed=3,
@@ -524,12 +516,11 @@ def _two_cell_basis(env):
     """Basis measure i puts mass 1/2 on cells i and i + 1 (cyclically): the
     densities are doubly stochastic, so a population step keeps the sum of
     eta at one and only the sign test decides whether eta left the simplex."""
-    from mfglearn.lfa import MeasureBasis, gram_matrix
+    from mfglearn.lfa import MeasureBasis
 
     n = env.n_states
     dens = 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
-    return MeasureBasis(d2=n, densities=dens, delta=1.0, gram=gram_matrix(dens, 1.0),
-                        norm_bound=1.0)
+    return MeasureBasis(densities=dens, delta=1.0)
 
 
 @pytest.mark.parametrize("basis_tag", ["tan-normal-5", "tan-normal-20", "two-cell"])
@@ -551,8 +542,7 @@ def test_pa_lfa_matches_the_oracle_trace_after_every_pass(basis_tag):
         cfg = RunConfig(
             total_steps=200,
             schedule=StepSizeSchedule("constant", 0.05),
-            gamma=env.gamma,
-            inverse_temperature=1e9,
+                inverse_temperature=1e9,
             ball_radius=default_ball_radius(env),
             seed=basis.d2 + k,
             inner_k=k,

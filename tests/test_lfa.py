@@ -8,6 +8,7 @@ from mfglearn.envs import toy_finite_env
 from mfglearn.learners import _OnlineRun
 from mfglearn.lfa import (
     BasisError,
+    MeasureBasis,
     gram_matrix,
     one_hot_feature_map,
     one_hot_measure_basis,
@@ -22,7 +23,7 @@ from mfglearn.policy import argmax_operator
 
 from .conftest import identity_features, kkt_simplex_projection, simplex_projection_oracle
 
-GRID50 = StateSpace(size=50, kind="grid", delta=0.02)
+GRID50 = StateSpace(size=50, kind="grid")
 
 # frozen golden values: tan-normal basis, d2 = 2, 50-cell grid, defaults
 # c = 1.2 and v = d2/2, computed by an independent scalar-loop quadrature
@@ -61,7 +62,7 @@ def test_one_hot_feature_unit_norm():
 
 def test_one_hot_feature_degenerate_space():
     phi = one_hot_feature_map(
-        StateSpace(size=1, kind="grid", delta=1.0), ActionSpace(size=1)
+        StateSpace(size=1, kind="grid"), ActionSpace(size=1)
     )
     assert phi.d1 == 1
     np.testing.assert_array_equal(identity_features(1, 1).features[0, 0], [1.0])
@@ -71,10 +72,12 @@ def test_one_hot_feature_degenerate_space():
 
 
 def test_one_hot_basis_is_tabular_identity():
-    basis = one_hot_measure_basis(StateSpace(size=3, kind="edges"))
-    np.testing.assert_array_equal(basis.gram, np.eye(3))
-    assert basis.identity_gram
-    assert basis.norm_bound == 1.0
+    # the derived one-hot Gram matrix is np.eye(n) bit for bit, so the
+    # learner keeps its tabular population path
+    for n in (1, 3, 50, 200):
+        basis = one_hot_measure_basis(StateSpace(size=n, kind="edges"))
+        assert basis.gram.tobytes() == np.eye(n).tobytes()
+        assert basis.identity_gram and basis.d2 == n
 
 
 def test_one_hot_basis_evaluate():
@@ -84,6 +87,20 @@ def test_one_hot_basis_evaluate():
 
 def test_gram_matrix_identity_for_one_hot():
     np.testing.assert_array_equal(gram_matrix(np.eye(4), 1.0), np.eye(4))
+
+
+def test_measure_basis_derives_d2_and_gram():
+    # a basis is given its densities and delta; d2 and the Gram matrix
+    # derive from them, and neither can be passed in
+    rng = np.random.default_rng(12)
+    for d2, n, delta in ((1, 4, 1.0), (3, 50, 0.02), (7, 20, 0.05)):
+        dens = rng.random((d2, n))
+        basis = MeasureBasis(dens, delta)
+        assert basis.d2 == dens.shape[0]
+        assert basis.gram.tobytes() == gram_matrix(dens, delta).tobytes()
+        assert not basis.identity_gram
+    with pytest.raises(TypeError):
+        MeasureBasis(dens, delta, gram=np.eye(d2))
 
 
 def test_gram_matrix_identical_rows():
@@ -120,7 +137,7 @@ def test_tan_normal_golden_gram():
 
 
 def test_tan_normal_cross_resolution_stability():
-    fine = tan_normal_basis(StateSpace(size=1000, kind="grid", delta=0.001), 2)
+    fine = tan_normal_basis(StateSpace(size=1000, kind="grid"), 2)
     rel = np.abs(fine.gram - TAN_NORMAL_GRAM_D2_50) / TAN_NORMAL_GRAM_D2_50
     assert rel.max() < 1e-6
 
@@ -209,10 +226,10 @@ def test_project_simplex_matches_kkt_oracle():
 def test_project_ball():
     # the learner's projection after a value update, for both feature paths:
     # theta is scaled back onto the ball when it leaves it, else kept
-    env = toy_finite_env(2, 1, seed=0)
+    env = toy_finite_env(2, 1, seed=0, gamma=0.0)
     for phi in (one_hot_feature_map(env.states, env.actions), identity_features(2, 1)):
         run = _OnlineRun(env, phi, one_hot_measure_basis(env.states), argmax_operator(),
-                         gamma=0.0, radius=5.0)
+                         radius=5.0)
         run.set_theta([3.0, 4.0])
         run.update_theta(0, 0, 3.0, 1, 0, alpha=0.5)  # zero TD error
         np.testing.assert_array_equal(run.theta, [3.0, 4.0])
@@ -220,7 +237,7 @@ def test_project_ball():
         run.update_theta(0, 0, 9.0, 1, 0, alpha=0.5)  # [6, 8], then onto the ball
         np.testing.assert_allclose(run.theta, [3.0, 4.0], rtol=1e-15)
     with pytest.raises(ValueError):
-        RunConfig(total_steps=1, schedule=StepSizeSchedule("constant", 0.5), gamma=0.5,
+        RunConfig(total_steps=1, schedule=StepSizeSchedule("constant", 0.5),
                   inverse_temperature=1.0, ball_radius=0.0, seed=0)
 
 
@@ -231,7 +248,7 @@ def test_ball_guard_fires_just_below_the_computed_norm():
     # at the computed norm it does not
     rng = np.random.default_rng(31)
     for n_states, n_actions in ((2, 1), (3, 1), (5, 1), (3, 2), (5, 2), (6, 6)):
-        env = toy_finite_env(n_states, n_actions, seed=0)
+        env = toy_finite_env(n_states, n_actions, seed=0, gamma=0.0)
         d1 = n_states * n_actions
         phi = one_hot_feature_map(env.states, env.actions)
         for _ in range(50):
@@ -239,7 +256,7 @@ def test_ball_guard_fires_just_below_the_computed_norm():
             norm = float(np.sqrt(theta @ theta))
             for radius, fires in ((np.nextafter(norm, 0.0), True), (norm, False)):
                 run = _OnlineRun(env, phi, one_hot_measure_basis(env.states),
-                                 argmax_operator(), gamma=0.0, radius=radius)
+                                 argmax_operator(), radius=radius)
                 run.set_theta(theta)
                 run.update_theta(0, 0, theta[0], 1, 0, alpha=0.5)  # zero TD error
                 want = theta * (radius / norm) if fires else theta

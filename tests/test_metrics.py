@@ -76,7 +76,7 @@ def recorded_mse(env, eta, mu_ref, basis=None):
     """The MSE a run's recorder writes while its population weights are eta."""
     basis = basis or one_hot_measure_basis(env.states)
     run = _OnlineRun(env, one_hot_feature_map(env.states, env.actions), basis,
-                     argmax_operator(), env.gamma, 1.0)
+                     argmax_operator(), 1.0)
     run.eta = np.array(eta)
     rec = _Recorder(run, 1, None, np.asarray(mu_ref), None, False)
     rec.snapshot(0)
@@ -463,7 +463,7 @@ def test_low_rank_features_match_the_loop_reference(toy_env):
 
 
 def test_span_residual_zero_for_basis_member():
-    basis = tan_normal_basis(StateSpace(size=50, kind="grid", delta=0.02), 3)
+    basis = tan_normal_basis(StateSpace(size=50, kind="grid"), 3)
     mu = basis.masses[1]
     assert span_residual(mu, basis) <= 1e-10
 
@@ -477,7 +477,7 @@ def test_span_residual_zero_for_full_one_hot_basis():
 
 
 def test_span_residual_positive_off_span():
-    basis = tan_normal_basis(StateSpace(size=50, kind="grid", delta=0.02), 2)
+    basis = tan_normal_basis(StateSpace(size=50, kind="grid"), 2)
     mu = np.zeros(50)
     mu[7] = 1.0
     assert span_residual(mu, basis) > 0.1
