@@ -86,6 +86,8 @@ class ExperimentSpec:
             raise ConfigError("at least one seed is required")
         if self.basis not in ("one-hot", "tan-normal"):
             raise ConfigError(f"unknown basis {self.basis!r}")
+        if self.reference_outer_iters < 1:
+            raise ConfigError("reference_outer_iters must be >= 1")
 
     @property
     def effective_seeds(self) -> List[int]:

@@ -40,7 +40,9 @@ class EnvironmentModel:
     vector.  ``reward(s, a, mu)`` takes int indices or broadcastable index
     arrays and applies only elementwise operations to them, so the (S, A)
     table ``reward_matrix(mu)``, which is ``_reward_table(reward)``, equals
-    it exactly at every (s, a).
+    it exactly at every (s, a).  ``sample_next(s, a, mu, rng)`` takes any
+    source of uniforms with a ``random()`` method returning one double in
+    [0, 1), such as a ``numpy.random.Generator``, and calls it at most once.
 
     ``kernel_support(mu)`` returns ``(idx, probs)`` of shape (S, A, m): the
     m possible successors of each state-action pair and their
@@ -60,7 +62,7 @@ class EnvironmentModel:
     gamma: float
     reward: Callable[[Any, Any, np.ndarray], Any]
     reward_matrix: Callable[[np.ndarray], np.ndarray]
-    sample_next: Callable[[int, int, np.ndarray, np.random.Generator], int]
+    sample_next: Callable[[int, int, np.ndarray, Any], int]
     kernel_support: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     initial_state: np.ndarray
     reward_bound: float
@@ -396,14 +398,14 @@ def toy_finite_env(
     low-dimensional span.
     """
     if n_states > 6 or n_actions > 6:
-        raise ValueError("toy environment is limited to at most 6 states/actions")
+        raise ConfigError("toy environment is limited to at most 6 states/actions")
     if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0,1), got {eps}")
+        raise ConfigError(f"eps must lie in [0,1), got {eps}")
     rng = np.random.default_rng(seed)
 
     if kernel_rank is not None:
         if not (1 <= kernel_rank <= n_states):
-            raise ValueError(f"kernel_rank must lie in [1, {n_states}]")
+            raise ConfigError(f"kernel_rank must lie in [1, {n_states}]")
         factors = rng.random((kernel_rank, n_states)) + 0.2
         factors /= factors.sum(axis=1, keepdims=True)
         weights = rng.random((n_states, n_actions, kernel_rank)) + 0.2

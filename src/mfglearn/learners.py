@@ -52,6 +52,17 @@ from .policy import PolicyOperator, policy_matrix, policy_row, sample_action, so
 
 ER_TEMPERATURE_DIVISOR = 1e5
 
+# Doubles a run draws from its generator at a time (see ``_Uniforms``).
+UNIFORM_BLOCK = 512
+
+# u, the unit roundoff of float64, and the growth of the tabular simplex-sum
+# bound per in-place step (see ``_OnlineRun.update_eta``).  The step moves
+# |sum(eta) - 1| from drift to at most (1 - alpha) drift + 3u (1 + drift) up
+# to terms of order u**2; a fourth u covers those, subnormal products and the
+# rounding of the bound itself.
+_U = 2.0 ** -53
+STEP_DRIFT = 4.0 * _U
+
 
 def step_size(schedule: StepSizeSchedule, t: int) -> float:
     """Step size at step t; raises if the value leaves (0, 1)."""
@@ -94,14 +105,35 @@ class RunRecord:
     param_trace: Optional[List[UnifiedParameter]] = None
 
 
+class _Uniforms:
+    """The doubles of a generator's ``random()`` calls, drawn in blocks.
+
+    ``rng.random(n)`` returns exactly the doubles of n calls of
+    ``rng.random()``, so a run that draws every uniform through one of these
+    sources sees its generator's stream in the same order, at a fraction of
+    the per-call cost.  The generator itself runs up to ``UNIFORM_BLOCK``
+    doubles ahead and must not be drawn from directly afterwards.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator):
+        def doubles():
+            while True:
+                yield from rng.random(UNIFORM_BLOCK).tolist()
+
+        self.random = doubles().__next__
+
+
 class _OnlineRun:
     """Chain and update plumbing of the sample loop ``_run_passes``.
 
     Holds flat parameter vectors plus a tabular (S, A) view of theta when
-    the feature map is one-hot, the current chain position, and the run's
-    generator.  The TD discount is the game's, ``env.gamma``.  General bases
-    and feature maps use the semi-gradients of ``lfa``; the one-hot cases
-    apply the same rules at a single index.
+    the feature map is one-hot, the current chain position, and the source
+    ``rng`` of every transition and action draw (after ``init_from_seed``,
+    the seeded generator's ``_Uniforms``).  The TD discount is the game's,
+    ``env.gamma``.  General bases and feature maps use the semi-gradients
+    of ``lfa``; the one-hot cases apply the same rules at a single index.
     """
 
     def __init__(
@@ -131,6 +163,11 @@ class _OnlineRun:
         # rounding of the exact norm (at most d1 * 2**-53 relative)
         self.theta_bound = 0.0
         self.bound_cap = float(radius) / (math.sqrt(phi.d1) * (1.0 + 1e-9 + phi.d1 * 2.0 ** -52))
+        # tabular guard: a sum of n non-negative doubles in any order is within
+        # (n - 1) u of the exact one, relative; twice n units also cover the
+        # rounding of the bounds below
+        self.sum_err = 2.0 * basis.d2 * _U
+        self.drift_cap = (SIMPLEX_TOL - self.sum_err) / (1.0 + self.sum_err)
         self.eta = np.full(basis.d2, 1.0 / basis.d2)
         self.s = 0
         self.a = 0
@@ -140,11 +177,22 @@ class _OnlineRun:
         """Default initialization: zero Q, random simplex population,
         uniform initial state, on-policy initial action."""
         rng = np.random.default_rng(seed)
-        self.rng = rng
         self.set_theta(0.0)
         self.eta = project_simplex(rng.random(self.basis.d2))
-        self.s = sample_action(self.env.initial_state, rng)
-        self.a = self._draw_action(self.q_table_now(), self.s, rng, {})
+        self.rng = _Uniforms(rng)
+        self.s = sample_action(self.env.initial_state, self.rng)
+        self.a = self._draw_action(self.q_table_now(), self.s, self.rng, {})
+
+    @property
+    def eta(self) -> np.ndarray:
+        return self._eta
+
+    @eta.setter
+    def eta(self, value: np.ndarray):
+        """Every write to eta but the in-place step of ``update_eta`` comes
+        here, and leaves the simplex-sum bound unknown."""
+        self._eta = value
+        self.eta_drift = math.inf
 
     # -- policy / sampling helpers -------------------------------------
 
@@ -153,22 +201,23 @@ class _OnlineRun:
             return self.theta2d
         return q_table(self.theta, self.phi, self.env)
 
-    def _draw_action(self, q2d: np.ndarray, s: int, rng: np.random.Generator, rows: dict) -> int:
+    def _draw_action(self, q2d: np.ndarray, s: int, rng, rows: dict) -> int:
         """On-policy action at s, remapped to the feasible actions there.
-        ``rows`` caches policy rows by state and is only valid while ``q2d``
-        does not change."""
+        ``rows`` caches each state's policy row and its inverse CDF, and is
+        only valid while ``q2d`` does not change."""
         feasible = self.feasible
-        row = rows.get(s)
-        if row is None:
+        entry = rows.get(s)
+        if entry is None:
             q_row = q2d[s] if feasible is None else q2d[s, feasible[s]]
-            row = rows[s] = policy_row(self.pol, q_row)
-        j = sample_action(row, rng)
+            row = policy_row(self.pol, q_row)
+            entry = rows[s] = (row, row.cumsum())
+        j = sample_action(entry[0], rng, entry[1])
         return j if feasible is None else int(feasible[s][j])
 
     def represent(self) -> np.ndarray:
         if self.tabular_m:
-            return self.eta
-        return self.basis.represent(self.eta)
+            return self._eta
+        return self.basis.represent(self._eta)
 
     # -- chain and updates ----------------------------------------------
 
@@ -196,17 +245,39 @@ class _OnlineRun:
         non-negative eta non-negative, and every eta this run holds is
         non-negative (initial projection, these steps, ``fp_mix``), so only
         the sum is tested there, and ``project_simplex`` is called exactly
-        when eta fails the full test (entries >= 0, sum within
-        ``SIMPLEX_TOL`` of one).  A general basis leaves that test to
-        ``project_simplex`` alone, which is called after every step and
-        returns a copy of an eta that passes it, so eta is summed once per
-        step either way.
+        when eta fails the full test (entries >= 0, float sum within
+        ``SIMPLEX_TOL`` of one).
+
+        Invariant: ``eta_drift`` bounds |exact sum(eta) - 1| for the eta the
+        run holds.  It is infinite after any write through the ``eta``
+        setter, and each in-place step here carries it forward as
+        drift (1 - alpha) + ``STEP_DRIFT`` (1 + drift).  The float sum lies
+        within ``sum_err`` (1 + drift) of the exact one, so a drift up to
+        ``drift_cap`` proves that the test passes.  Only a drift past the
+        cap takes the float sum, and a passing sum resets the drift: after
+        a write, and, at step sizes below about 4.5e-4 (where the fixed
+        point ``STEP_DRIFT`` / alpha lies past the cap), every few thousand
+        steps.
+
+        A general basis leaves the test to ``project_simplex`` alone, which
+        is called after every step and returns a copy of an eta that passes
+        it.
         """
-        eta = self.eta
+        eta = self._eta
         if self.tabular_m:
             eta *= 1.0 - alpha
             eta[s_next] += alpha
-            if self.project and not abs(float(eta.sum()) - 1.0) <= SIMPLEX_TOL:
+            if not self.project:
+                return
+            drift = self.eta_drift
+            drift = drift * (1.0 - alpha) + STEP_DRIFT * (1.0 + drift)
+            if drift <= self.drift_cap:
+                self.eta_drift = drift
+                return
+            total = float(eta.sum())
+            if abs(total - 1.0) <= SIMPLEX_TOL:
+                self.eta_drift = abs(total - 1.0) + self.sum_err * total
+            else:
                 self.eta = project_simplex(eta)
             return
         g = semi_gradient_eta(eta, s_next, self.basis)
@@ -253,23 +324,22 @@ class _OnlineRun:
         self.theta_bound = float(np.abs(self.theta).max())
 
     def parameter(self) -> UnifiedParameter:
-        return UnifiedParameter(theta=self.theta.copy(), eta=self.eta.copy())
+        return UnifiedParameter(theta=self.theta.copy(), eta=self._eta.copy())
 
 
 class _Recorder:
-    """Collects MSE / exploitability snapshots at the configured cadences."""
+    """Collects MSE / exploitability snapshots at the steps the sample loop
+    passes it, exploitability only at multiples of ``expl_every``."""
 
     def __init__(
         self,
         run: _OnlineRun,
-        cadence: int,
         expl_every: Optional[int],
         mu_ref: Optional[np.ndarray],
         ref_map: Optional[np.ndarray],
         record_params: bool,
     ):
         self.run = run
-        self.cadence = cadence
         self.expl_every = expl_every
         self.mu_ref = mu_ref
         self.ref_map = ref_map
@@ -292,14 +362,6 @@ class _Recorder:
             mu_pi = induced_population(pi, self.run.env)
             self.expl_steps.append(t)
             self.expl.append(_exploitability_at(pi, self.run.env, mu_pi))
-
-    def maybe_snapshot(self, t: int):
-        if t % self.cadence == 0:
-            self.snapshot(t)
-
-    def record_param(self):
-        if self.trace is not None:
-            self.trace.append(self.run.parameter())
 
     def to_record(self, seed: int, algorithm: str) -> RunRecord:
         return RunRecord(
@@ -363,10 +425,12 @@ def _run_passes(
         pol = softmax_operator(pol.inverse_temperature / ER_TEMPERATURE_DIVISOR)
     run = _OnlineRun(env, phi, basis, pol, cfg.ball_radius, project=project)
     run.init_from_seed(cfg.seed)
-    rec = _Recorder(run, cfg.cadence, cfg.expl_every, mu_ref, ref_map, record_params)
+    rec = _Recorder(run, cfg.expl_every, mu_ref, ref_map, record_params)
     rec.snapshot(0)
     schedule = cfg.schedule
     total = cfg.total_steps
+    cadence = cfg.cadence
+    trace = rec.trace
     fp, md = algorithm == "fpi-fp", algorithm == "fpi-md"
     eta_hist = run.eta.copy() if fp else None
     theta_hist = run.theta.copy() if md else None
@@ -381,8 +445,8 @@ def _run_passes(
             ob = run.chain_step(q, rows)
             run.update_eta(ob[3], alpha)
             obs.append((ob, alpha))
-            if t + 1 < end:
-                rec.maybe_snapshot(t + 1)
+            if (t + 1) % cadence == 0 and t + 1 < end:
+                rec.snapshot(t + 1)
         if fp:
             run.eta = fp_mix(eta_hist, run.eta, step_size(schedule, outer))
             eta_hist = run.eta.copy()
@@ -391,11 +455,10 @@ def _run_passes(
         if md:
             run.set_theta(md_mix(theta_hist, run.theta, step_size(schedule, outer)))
             theta_hist = run.theta.copy()
-        rec.record_param()
-        if end == total:
-            rec.snapshot(total)
-        else:
-            rec.maybe_snapshot(end)
+        if trace is not None:
+            trace.append(run.parameter())
+        if end == total or end % cadence == 0:
+            rec.snapshot(end)
     return rec.to_record(cfg.seed, algorithm)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,15 +55,22 @@ def policy_row(op: PolicyOperator, q_row: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample over action indices in increasing order."""
-    cdf = dist.cumsum()
-    u = rng.random()
-    idx = int(cdf.searchsorted(u, side="right"))
-    if idx >= dist.shape[0]:
-        idx = dist.shape[0] - 1
-    if dist[idx] == 0.0:  # guard against u landing past the float total mass
-        idx = int(np.nonzero(dist)[0][-1])
+def sample_action(dist: np.ndarray, rng, cdf: Optional[np.ndarray] = None) -> int:
+    """Inverse-CDF sample over action indices in increasing order: the first
+    index whose running sum of ``dist`` exceeds one uniform ``rng.random()``.
+
+    ``cdf`` is ``dist.cumsum()``; a caller drawing from one row many times
+    passes the one it holds, and it is computed here otherwise.  A zero
+    entry repeats the running sum before it, so an index found this way has
+    nonzero mass.  Only a draw at or past the float total mass ``cdf[-1]``
+    finds none, and takes the last action of nonzero mass.  ``rng`` is any
+    source with ``.random()``.
+    """
+    if cdf is None:
+        cdf = dist.cumsum()
+    idx = bisect_right(cdf, rng.random())
+    if idx == cdf.shape[0]:
+        idx = int(np.flatnonzero(dist)[-1])
     return idx
 
 

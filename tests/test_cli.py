@@ -241,6 +241,31 @@ def test_main_exit_codes(tmp_path):
         assert main(["run", "--config", str(malformed)]) == 2
 
 
+@pytest.mark.parametrize("key", ["toy_states", "toy_actions"])
+def test_toy_game_past_six_states_or_actions_is_a_config_error(tmp_path, capsys, key):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: 7}))
+    out = tmp_path / "out"
+    assert main(["reference", "--env", "toy", "--config", str(config), "--out", str(out)]) == 2
+    assert "config error: toy environment is limited" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reference", "--env", "toy"],
+    ["run", "--env", "toy"],
+    ["sweep-k", "--env", "toy", "--k-list", "1,10"],
+    ["compare-lfa", "--env", "ring-road", "--d2-list", "5"],
+])
+def test_zero_reference_budget_is_a_config_error_that_leaves_nothing(tmp_path, argv):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"reference_outer_iters": 0}))
+    out = tmp_path / "out"
+    assert main([*argv, "--steps", "100", "--seeds", "0", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_main_type_error_in_subcommand_is_a_traceback(tmp_path, monkeypatch):
     def broken(spec):
         raise TypeError("program bug")
@@ -459,11 +484,13 @@ def test_variant_needs_an_fpi_algorithm(tmp_path, capsys):
     assert cli.spec_from_args(args).algorithm == "fpi-er"
 
 
-# SHA-256 of every output file of seven small specs, recorded with numpy 2.4
+# SHA-256 of every output file of nine small specs, recorded with numpy 2.4
 # on x86-64.  Speed changes must keep result bytes; a change that moves them
-# on purpose updates these digests and says why.  The last four pin the ER
-# policy, a grid's cell width (flocking), a derived tan-normal Gram matrix
-# and a Sioux Falls reference.
+# on purpose updates these digests and says why.  Entries four to seven pin
+# the ER policy, a grid's cell width (flocking), a derived tan-normal Gram
+# matrix and a Sioux Falls reference.  The last two run 10,000 steps, about
+# 20,000 uniforms per run, so their draws cross many of the blocks in which
+# a run takes its uniforms from its generator.
 GOLDEN_DIGESTS = {
     "toy-run": {
         "aggregate.csv": "075690c41dbe7fbbe2657fc0e274be37252654dfb560540cd40455e1083c0668",
@@ -522,6 +549,23 @@ GOLDEN_DIGESTS = {
         "q_star.txt": "ed12ba1f50de8dfffe22424222748f2a82e7b9ced19026ff2c9acd765fe229b0",
         "reference.csv": "9e255d16748106531ea3631e8a12be28720e8dfe5c214ac83670bfe5faa40dd4",
     },
+    "toy-run-10000": {
+        "aggregate.csv": "a54a235d14e4a5ea68568f82f9e3a8dd1d7515de583ea5943961473f913014a7",
+        "reference/meta.json": "33c9637c6a99b0643253464a728444900a7e14ee062ecd23aef49daaf2779e98",
+        "reference/mu_star.txt": "d3a7e9d78ee91facec21589c0054e243213991dc5d278c6e319529b0bbd64a57",
+        "reference/q_star.txt": "4eabc8e38b590da68810696e0c8d20183fd989b3e21fefc6acf6f9443d6ef96e",
+        "reference/reference.csv":
+            "3ec93e930e5f024e922f4f27c39b3799a0012397966abd73c9c8201322ec1853",
+        "run_seed0.csv": "84b3a25ce925e4b683d4b0dc47621df52ec24d205036349fe6a5b611b2efa299",
+    },
+    "ring-road-50-sweep-k-10000": {
+        "reference/meta.json": "c7e513f85ab98953744f006ea44418800bf4748fa9e428daa489d362a6f30017",
+        "reference/mu_star.txt": "b1adf8b7935edbe6d51c8569ca7cb4062a46bd2f05c62f806647ca188a11b093",
+        "reference/q_star.txt": "2c67f55c9b496f31c8095ef69111db4d57fd8f2f075b795957d5dad2fab2ab17",
+        "reference/reference.csv":
+            "af2a083f781a7cfcd2f48e0daa7403665b335442683218f2da7a039cd2d1f75d",
+        "sweep_k.csv": "03e3d9e2978ee0076604af427042c4e8fb700a272f7955b39a14ea283e881626",
+    },
 }
 
 
@@ -545,6 +589,9 @@ def test_cli_output_bytes_match_golden_digests(tmp_path, ring200_reference_dir):
         "ring-road-tan-normal-run": ["run", "--env", "ring-road", "--steps", "2000",
                                      "--seeds", "0,1", "--config", str(tan_normal)],
         "sioux-falls-reference": ["reference", "--env", "sioux-falls", "--config", str(sioux)],
+        "toy-run-10000": ["run", "--env", "toy", "--steps", "10000", "--seeds", "0"],
+        "ring-road-50-sweep-k-10000": ["sweep-k", "--env", "ring-road", "--k-list", "1,100",
+                                       "--steps", "10000", "--seeds", "0"],
     }
     for name, argv in specs.items():
         out = tmp_path / name

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -571,3 +573,66 @@ def test_run_online_fpi_computes_one_row_per_visited_state_per_pass(toy_env, mon
     run_online_fpi(toy_env, cfg)
     # the initial draw, then at most one row per state in each of 10 passes
     assert 1 + 10 <= len(calls) <= 1 + 10 * toy_env.n_states
+
+
+def _exact_drift(eta) -> Fraction:
+    """|sum(eta) - 1| in exact rational arithmetic."""
+    return abs(sum(map(Fraction, eta.tolist()), Fraction(0)) - 1)
+
+
+@pytest.mark.parametrize("env_tag,schedule,steps", [
+    ("toy", StepSizeSchedule("constant", 1e-3), 4000),
+    ("toy", StepSizeSchedule("constant", 0.05), 2000),
+    # falls below the certifiable step size, about 4.5e-4, after t = 120
+    ("toy", StepSizeSchedule("linear-decay", 1e-3, 1e-2), 12000),
+    ("ring-road", StepSizeSchedule("constant", 1e-3), 1500),
+])
+def test_simplex_sum_bound_is_sound_and_decides_as_the_full_test(
+        env_tag, schedule, steps, monkeypatch):
+    # the tabular population step, one sample at a time: after every step the
+    # running bound must cover the exact drift of the sum from one, and the
+    # projection must fire exactly when the float sum fails the full test,
+    # across FP mixing, a forced projection and a direct assignment of eta
+    env = toy_finite_env(3, 2, seed=7) if env_tag == "toy" else ring_road_env(50)
+    calls = []
+
+    def projection(v):
+        calls.append(1)
+        return simplex_projection_oracle(v)
+
+    monkeypatch.setattr(learners, "project_simplex", projection)
+    phi, basis, pol = learners._defaults(env, small_cfg(env), None, None)
+    run = learners._OnlineRun(env, phi, basis, pol, np.inf)
+    run.init_from_seed(3)
+    rng = np.random.default_rng(4)
+    q = run.q_table_now()
+    writes = {
+        steps // 4: lambda: fp_mix(rng.random(env.n_states), run.eta, 0.5),
+        steps // 2: lambda: run.eta * (1.0 + 1e-9),  # off the simplex: projects
+        3 * steps // 4: lambda: np.full(env.n_states, 1.0 / env.n_states),
+    }
+    sums = 0
+    for t in range(steps):
+        if t in writes:
+            run.eta = writes[t]()
+        alpha = step_size(schedule, t)
+        s_next = run.chain_step(q, {})[3]
+        want = run.eta.copy()
+        want *= 1.0 - alpha
+        want[s_next] += alpha
+        passes = want.min() >= 0.0 and abs(float(want.sum()) - 1.0) <= SIMPLEX_TOL
+        carried = run.eta_drift * (1.0 - alpha) + learners.STEP_DRIFT * (1.0 + run.eta_drift)
+        n_calls = len(calls)
+        run.update_eta(s_next, alpha)
+        assert len(calls) - n_calls == (0 if passes else 1), t
+        if passes:
+            assert run.eta.tobytes() == want.tobytes(), t
+            assert _exact_drift(run.eta) <= Fraction(run.eta_drift), t
+            sums += run.eta_drift != carried
+    # a passing float sum follows the initial projection, the FP write, the
+    # projection the forced write causes and the assignment; past the cap,
+    # small step sizes add more
+    if schedule.kind == "constant":
+        assert (sums, len(calls)) == (4, 2)
+    else:
+        assert sums > 4 and len(calls) == 2

@@ -78,7 +78,7 @@ def recorded_mse(env, eta, mu_ref, basis=None):
     run = _OnlineRun(env, one_hot_feature_map(env.states, env.actions), basis,
                      argmax_operator(), 1.0)
     run.eta = np.array(eta)
-    rec = _Recorder(run, 1, None, np.asarray(mu_ref), None, False)
+    rec = _Recorder(run, None, np.asarray(mu_ref), None, False)
     rec.snapshot(0)
     return rec.mse[0]
 

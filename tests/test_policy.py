@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfglearn import learners
 from mfglearn.core import ConfigError
-from mfglearn.envs import sioux_falls_env
+from mfglearn.envs import sioux_falls_env, toy_finite_env
+from mfglearn.lfa import one_hot_feature_map, one_hot_measure_basis
 from mfglearn.policy import (
     argmax_operator,
     policy_matrix,
@@ -133,6 +135,31 @@ def _assert_matches_oracle(op, q_row, seed):
     assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
 
+def _pass_cache_run(env, op):
+    """A one-hot run drawing its actions under ``op``.  Its ``_draw_action``
+    reads only the Q table it is given and the game's feasible actions."""
+    phi, basis = one_hot_feature_map(env.states, env.actions), one_hot_measure_basis(env.states)
+    return learners._OnlineRun(env, phi, basis, op, np.inf)
+
+
+def _assert_pass_cache_matches_oracle(run, q, visits, draws, draws_oracle):
+    """Actions drawn through one pass's row cache at the visited states equal
+    oracle draws from rows recomputed at every visit: the first visit of a
+    state misses the cache, every later one draws from its cached CDF."""
+    feasible = run.feasible
+    rows = {}
+    for s in visits:
+        feas = np.arange(q.shape[1]) if feasible is None else feasible[s]
+        want = feas[sample_action_oracle(policy_row_oracle(run.pol, q[s, feas]), draws_oracle)]
+        assert run._draw_action(q, s, draws, rows) == want, (s, q[s])
+    assert sorted(rows) == sorted(set(visits))
+
+
+def _visits(n_states, rng):
+    """Every state once, then repeats in random order."""
+    return list(range(n_states)) + rng.integers(0, n_states, size=3 * n_states).tolist()
+
+
 @pytest.mark.parametrize("beta", BETAS)
 @pytest.mark.parametrize("n_actions", [1, 2, 5, 20, 200])
 def test_policy_row_and_draws_match_the_frozen_oracle(beta, n_actions):
@@ -145,6 +172,11 @@ def test_policy_row_and_draws_match_the_frozen_oracle(beta, n_actions):
             table = np.stack([q_row, -q_row])
             _assert_matches_oracle(op, table[0], seed=i)
             _assert_matches_oracle(op, np.asfortranarray(table)[0], seed=i)
+        q = np.array(_oracle_rows(n_actions, beta, rng))
+        draws, draws_oracle = np.random.default_rng(n_actions), np.random.default_rng(n_actions)
+        _assert_pass_cache_matches_oracle(_pass_cache_run(toy_finite_env(3, 2, seed=7), op), q,
+                                          _visits(q.shape[0], rng), draws, draws_oracle)
+        assert draws.bit_generator.state == draws_oracle.bit_generator.state
 
 
 @pytest.mark.parametrize("beta", BETAS)
@@ -160,3 +192,28 @@ def test_policy_on_sioux_falls_feasible_subsets_matches_the_frozen_oracle(beta):
                 _assert_matches_oracle(op, q[s, feas], seed=s)
                 want[s, feas] = policy_row_oracle(op, q[s, feas])
             assert policy_matrix(op, q, feasible).tobytes() == want.tobytes()
+            draws, draws_oracle = np.random.default_rng(3), np.random.default_rng(3)
+            _assert_pass_cache_matches_oracle(_pass_cache_run(env, op), q,
+                                              _visits(env.n_states, rng), draws, draws_oracle)
+            assert draws.bit_generator.state == draws_oracle.bit_generator.state
+
+
+def test_draws_at_or_past_the_float_total_mass_match_the_frozen_oracle():
+    # a float total mass below one (seven equal softmax masses), a zero-mass
+    # action inside the row and two trailing ones: a draw at or past the
+    # total takes the last action of nonzero mass, with or without a cached
+    # CDF, on a cache miss and on a hit
+    op = softmax_operator(1e9)
+    q = np.array([[0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, -1.0]])
+    dist = policy_row(op, q[0])
+    total = dist.cumsum()[-1]
+    assert total < 1.0 and dist[2] == dist[-1] == dist[-2] == 0.0
+    draws = [total, np.nextafter(total, 1.0), 0.0, np.nextafter(total, 0.0), 1.0]
+    for u in draws:
+        want = sample_action_oracle(dist, FixedDraws([u]))
+        assert sample_action(dist, FixedDraws([u])) == want
+        assert sample_action(dist, FixedDraws([u]), dist.cumsum()) == want
+    assert [sample_action_oracle(dist, FixedDraws([u])) for u in draws] == [7, 7, 0, 7, 7]
+    run = _pass_cache_run(toy_finite_env(3, 2, seed=7), op)
+    _assert_pass_cache_matches_oracle(run, q, [0] * len(draws), FixedDraws(draws),
+                                      FixedDraws(draws))
