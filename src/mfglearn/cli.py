@@ -12,11 +12,12 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Union
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
-from .core import ConfigError, RunConfig, StepSizeSchedule
+from .core import ALGORITHMS, ConfigError, RunConfig, StepSizeSchedule
 from .envs import (
     EnvironmentModel,
     NetworkLoadError,
@@ -62,12 +63,11 @@ class ExperimentSpec:
     algorithm: str = "semisgd"
     steps: int = 100_000
     alpha: float = 1e-3
-    schedule_kind: str = "constant"
     schedule_b: float = 0.0
     inverse_temperature: Optional[float] = None
     inner_k: int = 500
     ball_radius: Optional[float] = None
-    seeds: tuple = tuple(range(10))
+    seeds: Tuple[int, ...] = tuple(range(10))
     seed_offset: int = 0
     cadence: int = 100
     expl_every: Optional[int] = 5000
@@ -82,8 +82,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.env not in ENV_TAGS:
             raise ConfigError(f"unknown env {self.env!r}; expected one of {ENV_TAGS}")
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.effective_seeds)) < len(self.seeds):
+            raise ConfigError(f"repeated seeds {self.effective_seeds}")
+        # as RunConfig does; sweep-k reads expl_every before it builds one
+        if self.expl_every is not None and self.expl_every < 1:
+            raise ConfigError("expl_every must be >= 1, or null for no exploitability")
         if self.basis not in ("one-hot", "tan-normal"):
             raise ConfigError(f"unknown basis {self.basis!r}")
         if self.reference_outer_iters < 1:
@@ -99,21 +106,35 @@ class ExperimentSpec:
         return DEFAULT_INVERSE_TEMPERATURE[self.env]
 
 
-def spec_from_config(config: dict) -> ExperimentSpec:
-    """Build a spec from a config mapping; a malformed config is a ConfigError."""
-    try:
-        known = set(ExperimentSpec.__dataclass_fields__)
-        unknown = set(config) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "seeds" in config:
-            config = dict(config)
-            config["seeds"] = tuple(int(s) for s in config["seeds"])
-        return ExperimentSpec(**config)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+def _has_type(value, hint) -> bool:
+    """Whether a config value has the type of a spec field: an int field
+    takes no float or bool, a float field takes an int, an Optional field
+    takes null, and ``seeds`` is a list of ints."""
+    if get_origin(hint) is Union:  # Optional[X]
+        return value is None or _has_type(value, get_args(hint)[0])
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, int) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def spec_from_config(config: dict, **overrides) -> ExperimentSpec:
+    """Build a spec from a config object, each override over its key; a
+    malformed config is a ConfigError."""
+    if not isinstance(config, dict):
+        raise ConfigError("a config must be a JSON object")
+    config = {**config, **overrides}
+    hints = get_type_hints(ExperimentSpec)
+    unknown = set(config) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        if not _has_type(value, hints[key]):
+            raise ConfigError(f"config key {key!r} cannot be {value!r}")
+    if "seeds" in config:
+        config["seeds"] = tuple(config["seeds"])
+    return ExperimentSpec(**config)
 
 
 def build_env(spec: ExperimentSpec) -> EnvironmentModel:
@@ -137,7 +158,7 @@ def make_run_config(spec: ExperimentSpec, env: EnvironmentModel, seed: int) -> R
     radius = spec.ball_radius if spec.ball_radius is not None else default_ball_radius(env)
     return RunConfig(
         total_steps=spec.steps,
-        schedule=StepSizeSchedule(spec.schedule_kind, spec.alpha, spec.schedule_b),
+        schedule=StepSizeSchedule(spec.alpha, spec.schedule_b),
         inverse_temperature=spec.temperature(),
         ball_radius=radius,
         seed=seed,
@@ -407,7 +428,7 @@ def cmd_sweep_k(spec: ExperimentSpec, k_list: List[int]) -> Path:
         raise ConfigError("sweep-k needs a non-empty K list")
     if spec.algorithm == "semisgd":
         spec = replace(spec, algorithm="fpi-vanilla")
-    written = bool(spec.expl_every) and spec.steps % spec.expl_every == 0
+    written = spec.expl_every is not None and spec.steps % spec.expl_every == 0
     spec = replace(spec, expl_every=spec.steps if written else None)
     env = build_env(spec)
     sweep = [(k, _run_configs(replace(spec, inner_k=int(k)), env)) for k in k_list]
@@ -480,78 +501,58 @@ def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
 
 
 def _int_list(raw: str) -> List[int]:
-    out = []
-    for part in raw.replace(";", ",").split(","):
-        part = part.strip()
-        if part:
-            out.append(int(part))
-    return out
+    """Comma-separated integers; anything else is a ConfigError."""
+    try:
+        return [int(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError(f"not a comma-separated list of integers: {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes the flags it reads.  A flag's dest is the
+    ``ExperimentSpec`` field it sets, and a flag not given sets nothing."""
     parser = argparse.ArgumentParser(
         prog="mfglearn",
         description="Mean field game learning: SemiSGD, online FPI baselines, "
         "and a model-based reference solver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("reference", "run", "sweep-k", "compare-lfa"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--env", type=str, default=None, choices=ENV_TAGS)
-        p.add_argument("--algo", type=str, default=None)
-        p.add_argument("--variant", type=str, default=None,
-                       choices=("vanilla", "fp", "md", "er"))
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--inner-k", type=int, default=None)
-        p.add_argument("--seeds", type=str, default=None, help="comma-separated seeds")
-        p.add_argument("--seed-offset", type=int, default=None)
-        p.add_argument("--cadence", type=int, default=None)
-        p.add_argument("--no-exploitability", action="store_true")
-        if name == "sweep-k":
-            p.add_argument("--k-list", type=str, default=None)
-        if name == "compare-lfa":
-            p.add_argument("--d2-list", type=str, default=None)
+    reference, run, sweep, compare = [
+        sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for name in ("reference", "run", "sweep-k", "compare-lfa")
+    ]
+    for p in (reference, run, sweep, compare):
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--env", choices=ENV_TAGS)
+    for p in (run, sweep, compare):
+        p.add_argument("--steps", type=int)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--seeds", help="comma-separated seeds")
+        p.add_argument("--seed-offset", type=int)
+    for p in (run, sweep):
+        p.add_argument("--algo", dest="algorithm", help=" | ".join(ALGORITHMS))
+        p.add_argument("--no-exploitability", dest="expl_every",
+                       action="store_const", const=None)
+    run.add_argument("--inner-k", type=int)
+    run.add_argument("--cadence", type=int)
+    sweep.add_argument("--k-list", default="1,10,100,500")
+    compare.add_argument("--d2-list", default="5,20")
     return parser
 
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    """The ``--config`` file's spec with each flag given over its key."""
     config = {}
-    if args.config is not None:
+    if "config" in args:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot parse config {args.config}: {exc}") from exc
-    overrides = {
-        "out": args.out,
-        "env": args.env,
-        "steps": args.steps,
-        "alpha": args.alpha,
-        "inner_k": getattr(args, "inner_k", None),
-        "seed_offset": getattr(args, "seed_offset", None),
-        "cadence": args.cadence,
-    }
-    if args.algo is not None:
-        algo = args.algo
-        if args.variant is not None and not algo.startswith("fpi"):
-            raise ConfigError(f"--variant {args.variant} applies only to --algo fpi, not {algo!r}")
-        if algo.startswith("fpi"):
-            algo = f"fpi-{args.variant}" if args.variant is not None else (
-                "fpi-vanilla" if algo == "fpi" else algo
-            )
-        overrides["algorithm"] = algo
-    elif args.variant is not None:
-        overrides["algorithm"] = f"fpi-{args.variant}"
-    if args.seeds is not None:
-        overrides["seeds"] = tuple(_int_list(args.seeds))
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    if args.no_exploitability:
-        config["expl_every"] = None
-    return spec_from_config(config)
+    flags = {k: v for k, v in vars(args).items() if k in ExperimentSpec.__dataclass_fields__}
+    if "seeds" in flags:
+        flags["seeds"] = _int_list(flags["seeds"])
+    return spec_from_config(config, **flags)
 
 
 def main(argv=None) -> int:
@@ -563,11 +564,9 @@ def main(argv=None) -> int:
         elif args.command == "run":
             out = cmd_run(spec)
         elif args.command == "sweep-k":
-            k_list = _int_list(args.k_list) if args.k_list else [1, 10, 100, 500]
-            out = cmd_sweep_k(spec, k_list)
+            out = cmd_sweep_k(spec, _int_list(args.k_list))
         else:
-            d2_list = _int_list(args.d2_list) if args.d2_list else [5, 20]
-            out = cmd_compare_lfa(spec, d2_list)
+            out = cmd_compare_lfa(spec, _int_list(args.d2_list))
     except (ConfigError, NetworkLoadError, BasisError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -108,19 +108,16 @@ class UnifiedParameter:
 
 @dataclass(frozen=True)
 class StepSizeSchedule:
-    """Step-size schedule: constant(a0) or linear-decay(a0, b) = a0/(1+b*t)."""
+    """Step size a0/(1 + b*t): linear decay at rate b, constant at b = 0."""
 
-    kind: str  # "constant" | "linear-decay"
     a0: float
     b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "linear-decay"):
-            raise ConfigError(f"unknown step-size schedule {self.kind!r}")
         if not (0.0 < self.a0 < 1.0):
             raise ConfigError(f"initial step size must lie in (0,1), got {self.a0}")
-        if self.kind == "linear-decay" and self.b < 0:
-            raise ConfigError("linear-decay rate b must be >= 0")
+        if self.b < 0:
+            raise ConfigError("decay rate b must be >= 0")
 
 
 ALGORITHMS = ("semisgd", "fpi-vanilla", "fpi-fp", "fpi-md", "fpi-er")
@@ -159,4 +156,6 @@ class RunConfig:
                 )
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
+        if self.expl_every is not None and self.expl_every < 1:
+            raise ConfigError("expl_every must be >= 1, or None for no exploitability")
 

@@ -68,10 +68,7 @@ def step_size(schedule: StepSizeSchedule, t: int) -> float:
     """Step size at step t; raises if the value leaves (0, 1)."""
     if t < 0:
         raise ConfigError(f"step index must be >= 0, got {t}")
-    if schedule.kind == "constant":
-        alpha = schedule.a0
-    else:
-        alpha = schedule.a0 / (1.0 + schedule.b * t)
+    alpha = schedule.a0 / (1.0 + schedule.b * t)
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"step size {alpha} at t={t} is outside (0, 1)")
     return alpha

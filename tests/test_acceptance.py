@@ -36,7 +36,7 @@ def report(number, ok, message):
 def ring_cfg(env, seed, algorithm="semisgd", inner_k=None, steps=100_000):
     return RunConfig(
         total_steps=steps,
-        schedule=StepSizeSchedule("constant", 1e-3),
+        schedule=StepSizeSchedule(1e-3),
         inverse_temperature=1e9,
         ball_radius=np.sqrt(env.n_states * env.n_actions) * env.reward_bound / (1 - env.gamma),
         seed=seed,
@@ -87,7 +87,7 @@ def test_criterion_03_implicit_regularization():
     for seed in range(5):
         cfg = RunConfig(
             total_steps=10_000,
-            schedule=StepSizeSchedule("constant", 0.1),
+            schedule=StepSizeSchedule(0.1),
             inverse_temperature=50.0,
             ball_radius=1e9,
             seed=seed,
@@ -110,7 +110,7 @@ def test_criterion_04_k1_equivalence():
     env = toy_finite_env(3, 2, seed=7)
     identical = True
     for seed in range(3):
-        cfg_s = RunConfig(total_steps=1000, schedule=StepSizeSchedule("constant", 1e-2),
+        cfg_s = RunConfig(total_steps=1000, schedule=StepSizeSchedule(1e-2),
                           inverse_temperature=50.0, ball_radius=10.0,
                           seed=seed, cadence=100, expl_every=None)
         cfg_f = replace(cfg_s, algorithm="fpi-vanilla", inner_k=1)

@@ -28,15 +28,16 @@ def test_tracer_spans_cover_the_current_program(tmp_path, ring200_reference_dir)
 
     tracer = tracing.Tracer()
     seeds, steps = 2, 200
-    common = ["--steps", str(steps), "--seeds", "0,1", "--no-exploitability"]
+    common = ["--steps", str(steps), "--seeds", "0,1"]
     lfa_config = tmp_path / "lfa.json"
     lfa_config.write_text(json.dumps({"reference": str(ring200_reference_dir)}))
     try:
         tracing.install_timers(tracer, mfg)
         tracing.install_layers(tracer, mfg)
-        for algo in ("semisgd", "fpi"):
+        for algo in ("semisgd", "fpi-vanilla"):
             code = mfg.cli.main([
                 "run", "--env", "toy", "--algo", algo, "--inner-k", "10", *common,
+                "--no-exploitability",
                 "--out", str(tmp_path / algo),
             ])
             assert code == 0
@@ -44,7 +45,7 @@ def test_tracer_spans_cover_the_current_program(tmp_path, ring200_reference_dir)
         counts = tracer.take_counts()
         # the commands the workloads run: samples are counted per run call
         assert mfg.cli.main(["sweep-k", "--env", "ring-road", "--k-list", "1,10", *common,
-                             "--out", str(tmp_path / "sweep")]) == 0
+                             "--no-exploitability", "--out", str(tmp_path / "sweep")]) == 0
         assert mfg.cli.main(["compare-lfa", "--env", "ring-road", "--d2-list", "5", *common,
                              "--config", str(lfa_config), "--out", str(tmp_path / "lfa")]) == 0
     finally:

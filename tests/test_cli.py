@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +246,83 @@ def test_main_exit_codes(tmp_path):
         assert main(["run", "--config", str(malformed)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--env", "toy", "--seeds", "0,x"],
+    ["sweep-k", "--env", "toy", "--k-list", "1,x"],
+    ["compare-lfa", "--env", "ring-road", "--d2-list", "5;20"],
+])
+def test_malformed_int_list_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--steps", "100", "--out", str(out)]) == 2
+    assert "config error: not a comma-separated list of integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"steps": "100"},
+    {"alpha": "0.1"},
+    {"env_size": 3.0},
+    {"steps": 100.0},
+    {"steps": True},
+    {"alpha": False},
+    {"expl_every": 2.5},
+    {"seeds": [0, 1.0]},
+    {"seeds": "0,1"},
+    {"network": 3},
+    [{"env": "toy"}],
+])
+def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--env", "toy", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_types_accept_ints_for_floats_and_null_for_optionals():
+    spec = spec_from_config({"inverse_temperature": 100, "schedule_b": 1, "ball_radius": None,
+                             "expl_every": None, "seeds": [3, 4]})
+    assert (spec.inverse_temperature, spec.schedule_b, spec.seeds) == (100, 1, (3, 4))
+    assert spec.ball_radius is None and spec.expl_every is None
+
+
+@pytest.mark.parametrize("config", [{"expl_every": 0}, {"expl_every": -7}])
+def test_expl_every_below_one_leaves_nothing(tmp_path, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    for argv in (["run", "--env", "toy"], ["sweep-k", "--env", "toy", "--k-list", "1"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--steps", "100", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--env", "toy"],
+    ["sweep-k", "--env", "toy", "--k-list", "1"],
+    ["compare-lfa", "--env", "ring-road", "--d2-list", "5"],
+])
+def test_repeated_seeds_are_a_config_error(tmp_path, capsys, argv):
+    # a repeated seed would overwrite its run_seed CSV and count twice in the means
+    out = tmp_path / "out"
+    assert main([*argv, "--steps", "100", "--seeds", "0,0,1", "--out", str(out)]) == 2
+    assert "config error: repeated seeds [0, 0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="repeated seeds"):
+        ExperimentSpec(seeds=(4, 5, 4), seed_offset=2)
+
+
+def test_unknown_algorithm_in_a_config_is_a_config_error_for_every_subcommand(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"algorithm": "fpi", "steps": 100, "seeds": [0]}))
+    for argv in (["reference", "--env", "toy"], ["run", "--env", "toy"],
+                 ["sweep-k", "--env", "toy", "--k-list", "1"],
+                 ["compare-lfa", "--env", "ring-road", "--d2-list", "5"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["toy_states", "toy_actions"])
 def test_toy_game_past_six_states_or_actions_is_a_config_error(tmp_path, capsys, key):
     config = tmp_path / "c.json"
@@ -259,10 +341,9 @@ def test_toy_game_past_six_states_or_actions_is_a_config_error(tmp_path, capsys,
 ])
 def test_zero_reference_budget_is_a_config_error_that_leaves_nothing(tmp_path, argv):
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"reference_outer_iters": 0}))
+    config.write_text(json.dumps({"reference_outer_iters": 0, "steps": 100, "seeds": [0]}))
     out = tmp_path / "out"
-    assert main([*argv, "--steps", "100", "--seeds", "0", "--config", str(config),
-                 "--out", str(out)]) == 2
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -441,8 +522,7 @@ def test_compare_lfa_computes_no_exploitability(tmp_path, monkeypatch, ring200_r
     (["run", "--env", "toy", "--alpha", "1.5"], "run_semisgd"),
     (["sweep-k", "--env", "toy", "--k-list", "1,10", "--alpha", "1.5"], "run_online_fpi"),
     (["compare-lfa", "--env", "ring-road", "--alpha", "1.5"], "run_semisgd"),
-    (["run", "--env", "toy", "--algo", "fpi"], "run_online_fpi"),  # default K 500 > T
-    (["run", "--env", "toy", "--algo", "semisgd", "--variant", "fp"], "run_semisgd"),
+    (["run", "--env", "toy", "--algo", "fpi-vanilla"], "run_online_fpi"),  # default K 500 > T
 ])
 def test_sweep_lists_are_validated_before_the_first_run(tmp_path, monkeypatch, argv, runner):
     # sweep lists and run configs alike: a config error solves no reference
@@ -469,19 +549,6 @@ def test_compare_lfa_builds_its_bases_before_the_first_side_effect(tmp_path, mon
     assert main(["compare-lfa", "--env", "ring-road", "--d2-list", "5", "--steps", "100",
                  "--seeds", "0", "--config", str(config), "--out", str(out)]) == 2
     assert not out.exists()
-
-
-def test_variant_needs_an_fpi_algorithm(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["run", "--env", "toy", "--algo", "semisgd", "--variant", "fp",
-                 "--steps", "100", "--out", str(out)]) == 2
-    assert "--variant fp applies only to --algo fpi" in capsys.readouterr().err
-    assert not out.exists()
-    # a variant alone, or with an FPI algorithm, still selects the variant
-    args = cli.build_parser().parse_args(["run", "--algo", "fpi", "--variant", "md"])
-    assert cli.spec_from_args(args).algorithm == "fpi-md"
-    args = cli.build_parser().parse_args(["run", "--variant", "er"])
-    assert cli.spec_from_args(args).algorithm == "fpi-er"
 
 
 # SHA-256 of every output file of nine small specs, recorded with numpy 2.4
@@ -582,7 +649,7 @@ def test_cli_output_bytes_match_golden_digests(tmp_path, ring200_reference_dir):
                                  "--steps", "2000", "--seeds", "0,1"],
         "compare-lfa": ["compare-lfa", "--env", "ring-road", "--d2-list", "5",
                         "--steps", "2000", "--seeds", "0,1", "--config", str(config)],
-        "toy-run-fpi-er": ["run", "--env", "toy", "--algo", "fpi", "--variant", "er",
+        "toy-run-fpi-er": ["run", "--env", "toy", "--algo", "fpi-er",
                            "--inner-k", "50", "--steps", "2000", "--seeds", "0,1"],
         "flocking-run": ["run", "--env", "flocking", "--cadence", "500", "--steps", "2000",
                          "--seeds", "0,1"],
@@ -599,3 +666,44 @@ def test_cli_output_bytes_match_golden_digests(tmp_path, ring200_reference_dir):
         got = {str(p.relative_to(out).as_posix()): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.rglob("*")) if p.is_file()}
         assert got == GOLDEN_DIGESTS[name], name
+
+
+# the flags each subcommand takes, as ``--help`` lists them
+SUBCOMMAND_FLAGS = {
+    "reference": {"--config", "--out", "--env"},
+    "run": {"--config", "--out", "--env", "--algo", "--steps", "--alpha", "--seeds",
+            "--seed-offset", "--inner-k", "--cadence", "--no-exploitability"},
+    "sweep-k": {"--config", "--out", "--env", "--algo", "--steps", "--alpha", "--seeds",
+                "--seed-offset", "--no-exploitability", "--k-list"},
+    "compare-lfa": {"--config", "--out", "--env", "--steps", "--alpha", "--seeds",
+                    "--seed-offset", "--d2-list"},
+}
+
+
+def test_python_m_mfglearn_as_a_process(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def mfglearn(*argv):
+        return subprocess.run([sys.executable, "-m", "mfglearn", *map(str, argv)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        done = mfglearn(name, "--help")
+        assert done.returncode == 0, done.stderr
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", done.stdout)) == flags | {"--help"}, name
+
+    out = tmp_path / "out"
+    done = mfglearn("reference", "--env", "toy", "--steps", "5", "--out", out)
+    assert done.returncode == 2
+    assert "unrecognized arguments: --steps 5" in done.stderr
+    done = mfglearn("run", "--env", "toy", "--algo", "nonsense", "--out", out)
+    assert done.returncode == 2
+    assert "config error: unknown algorithm 'nonsense'" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+    done = mfglearn("run", "--env", "toy", "--steps", "200", "--seeds", "0", "--out", out)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in out.glob("*.csv")) == ["aggregate.csv", "run_seed0.csv"]

@@ -16,7 +16,7 @@ from .conftest import eta_on_simplex, validate_parameter
 def make_cfg(**kwargs):
     defaults = dict(
         total_steps=100,
-        schedule=StepSizeSchedule("constant", 1e-3),
+        schedule=StepSizeSchedule(1e-3),
         inverse_temperature=10.0,
         ball_radius=5.0,
         seed=0,
@@ -71,15 +71,22 @@ def test_action_space_requires_nonempty_masks():
 
 
 def test_schedule_validation():
-    StepSizeSchedule("constant", 0.5)
+    StepSizeSchedule(0.5)
     with pytest.raises(ConfigError):
-        StepSizeSchedule("constant", 1.0)
+        StepSizeSchedule(1.0)
     with pytest.raises(ConfigError):
-        StepSizeSchedule("constant", 0.0)
+        StepSizeSchedule(0.0)
     with pytest.raises(ConfigError):
-        StepSizeSchedule("linear-decay", 0.5, b=-1.0)
-    with pytest.raises(ConfigError):
-        StepSizeSchedule("geometric", 0.5)
+        StepSizeSchedule(0.5, b=-1.0)
+
+
+def test_expl_every_below_one_is_a_config_error():
+    # 0 used to write no exploitability and -7 one at t = 0 alone
+    for expl_every in (0, -7):
+        with pytest.raises(ConfigError, match="expl_every"):
+            make_cfg(expl_every=expl_every)
+    assert make_cfg(expl_every=None).expl_every is None
+    assert make_cfg(expl_every=1).expl_every == 1
 
 
 def test_run_config_validation():

@@ -39,7 +39,7 @@ from .test_metrics import make_env, seed_value_iteration
 def small_cfg(env, seed=0, steps=500, algorithm="semisgd", inner_k=None, alpha=1e-2):
     return RunConfig(
         total_steps=steps,
-        schedule=StepSizeSchedule("constant", alpha),
+        schedule=StepSizeSchedule(alpha),
         inverse_temperature=50.0,
         ball_radius=10.0,
         seed=seed,
@@ -54,18 +54,18 @@ def small_cfg(env, seed=0, steps=500, algorithm="semisgd", inner_k=None, alpha=1
 
 
 def test_step_size_constant():
-    assert step_size(StepSizeSchedule("constant", 1e-3), 999) == 1e-3
+    assert step_size(StepSizeSchedule(1e-3), 999) == 1e-3
 
 
 def test_step_size_linear_decay():
-    sched = StepSizeSchedule("linear-decay", 0.5, b=1.0)
+    sched = StepSizeSchedule(0.5, b=1.0)
     assert step_size(sched, 0) == 0.5
     assert step_size(sched, 9) == pytest.approx(0.05)
 
 
 def test_step_size_rejects_negative_index():
     with pytest.raises(ConfigError):
-        step_size(StepSizeSchedule("constant", 0.1), -1)
+        step_size(StepSizeSchedule(0.1), -1)
 
 
 # -- single steps -------------------------------------------------------------
@@ -452,7 +452,7 @@ def test_run_online_fpi_row_cache_is_bit_identical(env_tag, steps):
     for algorithm, k in cases + [("semisgd", 1)]:
         cfg = RunConfig(
             total_steps=steps,
-            schedule=StepSizeSchedule("constant", 0.05),
+            schedule=StepSizeSchedule(0.05),
                 inverse_temperature=beta,
             ball_radius=default_ball_radius(env),
             seed=k,
@@ -494,7 +494,7 @@ def test_ball_guard_matches_the_exact_norm_every_sample(env_tag, algorithm, k, f
     }[features]
     cfg = RunConfig(
         total_steps=600,
-        schedule=StepSizeSchedule("constant", 0.05),
+        schedule=StepSizeSchedule(0.05),
         inverse_temperature=1e2 if env_tag == "toy" else 1e9,
         ball_radius=radius,
         seed=3,
@@ -543,7 +543,7 @@ def test_pa_lfa_matches_the_oracle_trace_after_every_pass(basis_tag):
     for algorithm, k in (("semisgd", 1), ("fpi-vanilla", 10), ("fpi-fp", 10)):
         cfg = RunConfig(
             total_steps=200,
-            schedule=StepSizeSchedule("constant", 0.05),
+            schedule=StepSizeSchedule(0.05),
                 inverse_temperature=1e9,
             ball_radius=default_ball_radius(env),
             seed=basis.d2 + k,
@@ -581,11 +581,11 @@ def _exact_drift(eta) -> Fraction:
 
 
 @pytest.mark.parametrize("env_tag,schedule,steps", [
-    ("toy", StepSizeSchedule("constant", 1e-3), 4000),
-    ("toy", StepSizeSchedule("constant", 0.05), 2000),
+    ("toy", StepSizeSchedule(1e-3), 4000),
+    ("toy", StepSizeSchedule(0.05), 2000),
     # falls below the certifiable step size, about 4.5e-4, after t = 120
-    ("toy", StepSizeSchedule("linear-decay", 1e-3, 1e-2), 12000),
-    ("ring-road", StepSizeSchedule("constant", 1e-3), 1500),
+    ("toy", StepSizeSchedule(1e-3, 1e-2), 12000),
+    ("ring-road", StepSizeSchedule(1e-3), 1500),
 ])
 def test_simplex_sum_bound_is_sound_and_decides_as_the_full_test(
         env_tag, schedule, steps, monkeypatch):
@@ -632,7 +632,7 @@ def test_simplex_sum_bound_is_sound_and_decides_as_the_full_test(
     # a passing float sum follows the initial projection, the FP write, the
     # projection the forced write causes and the assignment; past the cap,
     # small step sizes add more
-    if schedule.kind == "constant":
+    if schedule.b == 0.0:
         assert (sums, len(calls)) == (4, 2)
     else:
         assert sums > 4 and len(calls) == 2

@@ -237,7 +237,7 @@ def test_project_ball():
         run.update_theta(0, 0, 9.0, 1, 0, alpha=0.5)  # [6, 8], then onto the ball
         np.testing.assert_allclose(run.theta, [3.0, 4.0], rtol=1e-15)
     with pytest.raises(ValueError):
-        RunConfig(total_steps=1, schedule=StepSizeSchedule("constant", 0.5),
+        RunConfig(total_steps=1, schedule=StepSizeSchedule(0.5),
                   inverse_temperature=1.0, ball_radius=0.0, seed=0)
 
 
