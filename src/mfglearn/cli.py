@@ -464,6 +464,9 @@ def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
     for d2 in d2_list:
         if not (1 <= d2 <= COMPARE_LFA_GRID):
             raise ConfigError(f"d2 = {d2} must lie in [1, {COMPARE_LFA_GRID}]")
+    if spec.steps > COMPARE_LFA_STEPS:
+        print(f"compare-lfa: {spec.steps} steps asked for; each run takes "
+              f"{COMPARE_LFA_STEPS} steps, the compare-lfa cap", file=sys.stderr)
     spec = replace(
         spec,
         algorithm="semisgd",

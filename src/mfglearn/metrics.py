@@ -11,7 +11,12 @@ Stationary and induced distributions are computed by fixed-point iteration
 of the transition operator (power sweeps).  For population-independent
 kernels the sweeps are accelerated by repeated squaring of the dense
 policy kernel, with a damped variant as fallback for periodic chains; the
-fixed point is unchanged by either device.
+fixed point is unchanged by either device.  The plain sweeps also stop at
+the first exact repeat of an iterate (equal bytes), which greedy policies
+on deterministic games reach once their masses only move around cycles:
+the orbit is periodic from there, so every later residual has already
+failed, and the squaring, which never reads the iterate, returns the same
+bytes it would have after the full sweep budget.
 """
 
 from __future__ import annotations
@@ -61,14 +66,24 @@ def _stationary_of_dense(p: np.ndarray) -> np.ndarray:
 
     ``_PLAIN_SWEEPS`` plain sweeps first; if those stall, repeated squaring
     of the damped kernel (I + p)/2, which has the same fixed points and
-    converges for periodic chains as well.
+    converges for periodic chains as well.  The plain sweeps stall early
+    once an iterate repeats the bytes of an earlier one after its residual
+    has been tested: ``m @ p`` depends only on the bytes of m, so the orbit
+    is periodic from there, every residual on it has been tested and
+    failed, and only the budget could end the sweeps.  The squaring starts
+    from the uniform vector, not from m, so the result is bit-identical.
     """
     n = p.shape[0]
     m = np.full(n, 1.0 / n)
+    seen = {m.tobytes()}
     for _ in range(_PLAIN_SWEEPS):
         m_next = m @ p
         if np.abs(m_next - m).sum() < _POP_TOL:
             return m_next
+        key = m_next.tobytes()
+        if key in seen:  # the orbit is periodic: every later residual has failed already
+            break
+        seen.add(key)
         m = m_next
     pd = 0.5 * (np.eye(n) + p)
     residual = float("nan")

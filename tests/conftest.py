@@ -6,6 +6,7 @@ from mfglearn.core import SIMPLEX_TOL
 from mfglearn.envs import ring_road_env, toy_finite_env
 from mfglearn.learners import model_based_fpi_fp
 from mfglearn.lfa import FeatureMap
+from mfglearn.metrics import MetricsError
 
 
 @pytest.fixture(scope="session")
@@ -94,6 +95,31 @@ def simplex_projection_oracle(v: np.ndarray) -> np.ndarray:
     rho = rho_idx[-1] + 1
     tau = css[rho - 1] / rho
     return np.maximum(v - tau, 0.0)
+
+
+def stationary_oracle(p: np.ndarray) -> np.ndarray:
+    """Frozen copy of ``_stationary_of_dense`` as it was before its plain
+    sweeps stopped at an exact repeat: always all 200 sweeps unless one
+    converges.  Its bytes are the contract of the current one."""
+    n = p.shape[0]
+    m = np.full(n, 1.0 / n)
+    for _ in range(200):
+        m_next = m @ p
+        if np.abs(m_next - m).sum() < 1e-12:
+            return m_next
+        m = m_next
+    pd = 0.5 * (np.eye(n) + p)
+    residual = float("nan")
+    for _ in range(64):
+        pd = pd @ pd
+        m_next = np.full(n, 1.0 / n) @ pd
+        residual = float(np.abs(m_next @ p - m_next).sum())
+        if residual < 1e-12:
+            total = m_next.sum()
+            return m_next / total if total > 0 else m_next
+    raise MetricsError(
+        f"stationary distribution did not converge (residual {residual:.3e})", residual
+    )
 
 
 class FixedDraws:

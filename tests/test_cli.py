@@ -551,6 +551,24 @@ def test_compare_lfa_builds_its_bases_before_the_first_side_effect(tmp_path, mon
     assert not out.exists()
 
 
+def test_compare_lfa_says_when_it_caps_the_steps(tmp_path, capsys, ring200_reference_dir):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"reference": str(ring200_reference_dir)}))
+    outputs = {}
+    for steps in (20000, 10000):
+        out = tmp_path / str(steps)
+        assert main(["compare-lfa", "--env", "ring-road", "--d2-list", "5", "--seeds", "0",
+                     "--steps", str(steps), "--config", str(config), "--out", str(out)]) == 0
+        outputs[steps] = {path.name: path.read_bytes() for path in out.iterdir()}
+        outputs[steps, "err"] = capsys.readouterr().err
+    assert outputs[20000, "err"] == (
+        "compare-lfa: 20000 steps asked for; each run takes 10000 steps, "
+        "the compare-lfa cap\n"
+    )
+    assert outputs[10000, "err"] == ""
+    assert outputs[20000] == outputs[10000]
+
+
 # SHA-256 of every output file of nine small specs, recorded with numpy 2.4
 # on x86-64.  Speed changes must keep result bytes; a change that moves them
 # on purpose updates these digests and says why.  Entries four to seven pin

@@ -9,7 +9,7 @@ from mfglearn.envs import (
     sioux_falls_env,
     toy_finite_env,
 )
-from mfglearn.learners import _OnlineRun, _Recorder
+from mfglearn.learners import _OnlineRun, _Recorder, model_based_fpi_fp
 from mfglearn.lfa import (
     FeatureMap,
     one_hot_feature_map,
@@ -33,7 +33,7 @@ from mfglearn.metrics import (
 )
 from mfglearn.policy import argmax_operator, policy_matrix, softmax_operator
 
-from .conftest import identity_features
+from .conftest import identity_features, stationary_oracle
 from .test_envs import eigen_stationary
 
 
@@ -146,6 +146,81 @@ def test_stationary_distribution_frozen_kernel(toy_env):
 
     p = dense_policy_kernel(pi, toy_env, mu_env)
     np.testing.assert_allclose(mu @ p, mu, atol=1e-11)
+
+
+def _functional_chain(successor) -> np.ndarray:
+    """Kernel moving all mass of state s to ``successor[s]``."""
+    return np.eye(len(successor))[list(successor)]
+
+
+def _plain_phase(p: np.ndarray):
+    """How the plain sweeps of a stationary solve end: ("converged", sweep),
+    ("repeat", sweep) at the first iterate equal in bytes to an earlier one,
+    or ("budget", 200)."""
+    m = np.full(p.shape[0], 1.0 / p.shape[0])
+    seen = {m.tobytes()}
+    for sweep in range(1, 201):
+        m_next = m @ p
+        if np.abs(m_next - m).sum() < 1e-12:
+            return "converged", sweep
+        if m_next.tobytes() in seen:
+            return "repeat", sweep
+        seen.add(m_next.tobytes())
+        m = m_next
+    return "budget", 200
+
+
+def _lazy_reset(n: int, reset: float) -> np.ndarray:
+    """Kernel staying put with probability 1 - reset, else moving to state 0."""
+    p = (1.0 - reset) * np.eye(n)
+    p[:, 0] += reset
+    return p
+
+
+SYNTHETIC_CHAINS = {
+    "identity": (np.eye(5), ("converged", 1)),
+    "6-cycle": (_functional_chain([1, 2, 3, 4, 5, 0]), ("converged", 1)),
+    "transient-into-3-cycle": (_functional_chain([1, 2, 3, 4, 2]), ("repeat", 5)),
+    # feeders 0 and 3 make the masses on both cycles uneven: period lcm(2, 3)
+    "disjoint-2-and-3-cycles": (_functional_chain([1, 2, 1, 4, 5, 6, 4]), ("repeat", 7)),
+    # residuals 1/2, 1/2, 1/2, then an exact fixed point
+    "path-into-absorbing-cell": (_functional_chain([1, 2, 3, 3]), ("converged", 4)),
+    "fully-mixing": (np.random.default_rng(4).dirichlet(np.ones(8), size=8), None),
+    "lazy-reset": (_lazy_reset(20, 1e-3), ("budget", 200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_CHAINS))
+def test_stationary_of_dense_bit_identical_on_synthetic_chains(name):
+    p, plain_end = SYNTHETIC_CHAINS[name]
+    kind, sweep = _plain_phase(p)
+    if plain_end is None:
+        assert kind == "converged" and sweep > 1
+    else:
+        assert (kind, sweep) == plain_end
+    assert metrics._stationary_of_dense(p).tobytes() == stationary_oracle(p).tobytes()
+
+
+def test_stationary_of_dense_bit_identical_on_reference_kernels(monkeypatch):
+    """Every kernel a default reference of ring-road-50, ring-road-200,
+    flocking-50 and Sioux Falls hands to the stationary solver: Sioux Falls'
+    plain sweeps all end at a repeat, the others' use up their budget."""
+    solve = metrics._stationary_of_dense
+    for name in ("ring-road-50", "ring-road-200", "flocking-50", "sioux-falls"):
+        kernels = []
+
+        def capture(p):
+            kernels.append(p.copy())
+            return solve(p)
+
+        monkeypatch.setattr(metrics, "_stationary_of_dense", capture)
+        model_based_fpi_fp(SHIPPED_ENVS[name]())
+        monkeypatch.setattr(metrics, "_stationary_of_dense", solve)
+        assert kernels
+        ends = {_plain_phase(p)[0] for p in kernels}
+        assert ends == ({"repeat"} if name == "sioux-falls" else {"budget"})
+        for p in kernels:
+            assert solve(p).tobytes() == stationary_oracle(p).tobytes()
 
 
 # -- value iteration and policy evaluation -------------------------------------
