@@ -13,10 +13,9 @@ kernels the sweeps are accelerated by repeated squaring of the dense
 policy kernel, with a damped variant as fallback for periodic chains; the
 fixed point is unchanged by either device.  The plain sweeps also stop at
 the first exact repeat of an iterate (equal bytes), which greedy policies
-on deterministic games reach once their masses only move around cycles:
-the orbit is periodic from there, so every later residual has already
-failed, and the squaring, which never reads the iterate, returns the same
-bytes it would have after the full sweep budget.
+on deterministic games reach: the orbit is periodic from there, so no
+later sweep can pass the test its earlier copy failed, and the squaring
+never reads the iterate, so every result bit is kept.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def _stationary_of_dense(p: np.ndarray) -> np.ndarray:
 
     ``_PLAIN_SWEEPS`` plain sweeps first; if those stall, repeated squaring
     of the damped kernel (I + p)/2, which has the same fixed points and
-    converges for periodic chains as well.  The plain sweeps stall early
+    converges for periodic chains as well.  The plain sweeps stop early
     once an iterate repeats the bytes of an earlier one after its residual
     has been tested: ``m @ p`` depends only on the bytes of m, so the orbit
     is periodic from there, every residual on it has been tested and
