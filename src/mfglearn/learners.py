@@ -524,13 +524,16 @@ def model_based_fpi_fp(
     iteration with exact evaluation (``value_iteration``), (ii) the induced
     population of that greedy policy (population fed back into the kernel),
     and (iii) fictitious-play averaging mu <- (k*mu + mu_new)/(k+1).  It
-    stops once two consecutive greedy policies are equal (their induced
-    populations then are too, bit for bit).  A final consistency pass takes
-    the last greedy policy's induced population as ``mu_star`` and recomputes
-    Q there, so the returned pair satisfies both fixed points up to the
-    stated tolerances.  The solution records the ``outer_iters`` budget and,
-    as ``converged``, whether that stopping rule fired within it; otherwise
-    the pass runs at the last iterate.
+    stops once two consecutive greedy policies are equal.  The greedy policy
+    is compared before its population is induced: at the repeat, the policy,
+    its population and its exploitability are bit-equal to the previous
+    iteration's, so the stop iteration reuses them and still gets its trace
+    entry.  A final consistency pass takes the last greedy policy's induced
+    population as ``mu_star`` and recomputes Q there, so the returned pair
+    satisfies both fixed points up to the stated tolerances.  The solution
+    records the ``outer_iters`` budget and, as ``converged``, whether that
+    stopping rule fired within it; otherwise the pass runs at the last
+    iterate.
     """
     if outer_iters < 1:
         raise ConfigError("outer_iters must be >= 1")
@@ -539,18 +542,19 @@ def model_based_fpi_fp(
     expl_vals: List[float] = []
     greedy_prev = None
     iterations = 0
-    converged = False
 
     for k in range(outer_iters):
         _, _, pi = value_iteration(env, mu_avg)
-        mu_ind = induced_population(pi, env)
         iterations = k + 1
-        if expl_every and k % expl_every == 0:
-            expl_iters.append(k)
-            expl_vals.append(_exploitability_at(pi, env, mu_ind))
         greedy = np.argmax(pi, axis=1)
-        if greedy_prev is not None and np.array_equal(greedy, greedy_prev):
-            converged = True
+        converged = greedy_prev is not None and np.array_equal(greedy, greedy_prev)
+        if not converged:
+            mu_ind = induced_population(pi, env)
+        if expl_every and k % expl_every == 0:
+            reuse = converged and expl_iters[-1] == k - 1  # the same policy, just evaluated
+            expl_vals.append(expl_vals[-1] if reuse else _exploitability_at(pi, env, mu_ind))
+            expl_iters.append(k)
+        if converged:
             break
         greedy_prev = greedy
         mu_avg = (k * mu_avg + mu_ind) / (k + 1.0)

@@ -7,15 +7,11 @@ Values are exact: a policy is evaluated by one linear solve of
 for the Bellman-optimality problem it solves) is found by policy iteration,
 a handful of such solves.
 
-Stationary and induced distributions are computed by fixed-point iteration
-of the transition operator (power sweeps).  For population-independent
-kernels the sweeps are accelerated by repeated squaring of the dense
-policy kernel, with a damped variant as fallback for periodic chains; the
-fixed point is unchanged by either device.  The plain sweeps also stop at
-the first exact repeat of an iterate (equal bytes), which greedy policies
-on deterministic games reach: the orbit is periodic from there, so no
-later sweep can pass the test its earlier copy failed, and the squaring
-never reads the iterate, so every result bit is kept.
+Stationary and induced distributions are fixed points of the transition
+operator.  For population-independent kernels the stationary vector is
+found by repeated squaring of the damped policy kernel (I + p)/2 from the
+uniform start, which also converges for periodic chains; population-
+dependent kernels are swept to their fixed point.
 """
 
 from __future__ import annotations
@@ -28,8 +24,7 @@ from .envs import EnvironmentModel
 from .lfa import FeatureMap, MeasureBasis
 from .policy import PolicyOperator, policy_matrix
 
-_POP_TOL = 1e-12  # l1 change of a sweep at which a population counts as fixed
-_PLAIN_SWEEPS = 200  # plain sweeps of a stationary solve before repeated squaring
+_POP_TOL = 1e-12  # l1 residual |m @ p - m| at which a population counts as fixed
 _MAX_SWEEPS = 10**6
 _MAX_POLICY_STEPS = 1000
 _PI_SLACK = 1e-13  # times R / (1 - gamma): smallest improvement that switches an action
@@ -61,29 +56,13 @@ def dense_policy_kernel(pi: np.ndarray, env: EnvironmentModel, mu: np.ndarray) -
 
 
 def _stationary_of_dense(p: np.ndarray) -> np.ndarray:
-    """Fixed point of m <- m @ p from the uniform start.
-
-    ``_PLAIN_SWEEPS`` plain sweeps first; if those stall, repeated squaring
-    of the damped kernel (I + p)/2, which has the same fixed points and
-    converges for periodic chains as well.  The plain sweeps stop early
-    once an iterate repeats the bytes of an earlier one after its residual
-    has been tested: ``m @ p`` depends only on the bytes of m, so the orbit
-    is periodic from there, every residual on it has been tested and
-    failed, and only the budget could end the sweeps.  The squaring starts
-    from the uniform vector, not from m, so the result is bit-identical.
+    """Fixed point of m <- m @ p from the uniform start, by repeated squaring
+    of the damped kernel (I + p)/2: it has the fixed points of p, and its
+    powers converge for periodic chains as well.  Each squaring doubles the
+    number of steps, so the residual is tested after 2, 4, 8, ... damped
+    steps, and the result is normalised to sum one.
     """
     n = p.shape[0]
-    m = np.full(n, 1.0 / n)
-    seen = {m.tobytes()}
-    for _ in range(_PLAIN_SWEEPS):
-        m_next = m @ p
-        if np.abs(m_next - m).sum() < _POP_TOL:
-            return m_next
-        key = m_next.tobytes()
-        if key in seen:  # the orbit is periodic: every later residual has failed already
-            break
-        seen.add(key)
-        m = m_next
     pd = 0.5 * (np.eye(n) + p)
     residual = float("nan")
     for _ in range(64):

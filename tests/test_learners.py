@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from mfglearn.policy import argmax_operator
 
 from .conftest import identity_features, simplex_projection_oracle, validate_parameter
 from .test_envs import eigen_stationary
-from .test_metrics import make_env, seed_value_iteration
+from .test_metrics import SHIPPED_ENVS, make_env, seed_value_iteration
 
 
 def small_cfg(env, seed=0, steps=500, algorithm="semisgd", inner_k=None, alpha=1e-2):
@@ -304,33 +305,136 @@ def test_model_based_fpi_fp_matches_value_iteration_solver(make, monkeypatch):
     np.testing.assert_array_equal(ref.mu_star.view(np.int64), seed.mu_star.view(np.int64))
 
 
-@pytest.mark.parametrize("make,outer_iters", [
+SOLVER_WORK_CASES = pytest.mark.parametrize("make,outer_iters", [
     (lambda: toy_finite_env(3, 2, seed=7), 300), (lambda: ring_road_env(50), 300),
     (lambda: flocking_env(50), 300), (lambda: sioux_falls_env(), 5),
 ], ids=["toy-3x2-seed7", "ring-road-50", "flocking-50", "sioux-falls-unconverged"])
-def test_model_based_fpi_fp_induces_each_population_once(make, outer_iters, monkeypatch):
-    # mu_star is the last iterate's induced population; the consistency pass
-    # induces one more only when greedy(q_star) differs from the last greedy
-    # policy, through metrics.exploitability
-    greedy, induced = [], []
+
+
+def _record_greedy_policies(monkeypatch):
+    """Greedy actions of every ``value_iteration`` call the solver makes."""
+    greedy = []
 
     def recorded_value_iteration(env, mu):
         out = value_iteration(env, mu)
         greedy.append(out[2].argmax(axis=1))
         return out
 
+    monkeypatch.setattr(learners, "value_iteration", recorded_value_iteration)
+    return greedy
+
+
+@SOLVER_WORK_CASES
+def test_model_based_fpi_fp_induces_each_population_once(make, outer_iters, monkeypatch):
+    # one induced population per distinct greedy policy: the stop iteration
+    # of a converged solve reuses its predecessor's, and the consistency pass
+    # induces one more only when greedy(q_star) differs from the last greedy
+    # policy, through metrics.exploitability
+    greedy = _record_greedy_policies(monkeypatch)
+    policies, induced = [], []
+
     def recorded_induced_population(pi, env):
         out = induced_population(pi, env)
+        policies.append(pi.argmax(axis=1))
         induced.append(out)
         return out
 
-    monkeypatch.setattr(learners, "value_iteration", recorded_value_iteration)
     monkeypatch.setattr(learners, "induced_population", recorded_induced_population)
     monkeypatch.setattr("mfglearn.metrics.induced_population", recorded_induced_population)
     ref = model_based_fpi_fp(make(), outer_iters=outer_iters, expl_every=None)
     assert len(greedy) == ref.iterations + 1
-    assert len(induced) == ref.iterations + (0 if np.array_equal(greedy[-1], greedy[-2]) else 1)
-    assert ref.mu_star.tobytes() == induced[ref.iterations - 1].tobytes()
+    final_differs = not np.array_equal(greedy[-1], greedy[-2])
+    assert len(induced) == ref.iterations - ref.converged + final_differs
+    assert not any(np.array_equal(a, b) for a, b in zip(policies, policies[1:]))
+    assert ref.mu_star.tobytes() == induced[ref.iterations - ref.converged - 1].tobytes()
+
+
+@SOLVER_WORK_CASES
+def test_model_based_fpi_fp_evaluates_each_policy_once(make, outer_iters, monkeypatch):
+    # with expl_every=1 every outer iteration gets a trace entry, but the
+    # loop takes no policy's exploitability twice: the stop iteration reuses
+    # its predecessor's
+    greedy = _record_greedy_policies(monkeypatch)
+    evaluated = []
+
+    exploitability_at = learners._exploitability_at
+
+    def recorded_exploitability_at(pi, env, mu):
+        evaluated.append((len(greedy), pi.tobytes()))
+        return exploitability_at(pi, env, mu)
+
+    monkeypatch.setattr(learners, "_exploitability_at", recorded_exploitability_at)
+    ref = model_based_fpi_fp(make(), outer_iters=outer_iters, expl_every=1)
+    in_loop = [pi for n_best_responses, pi in evaluated if n_best_responses <= ref.iterations]
+    assert len(in_loop) == len(set(in_loop)) == ref.iterations - ref.converged
+    assert ref.expl_iterations.tolist() == list(range(ref.iterations))
+
+
+# SHA-256 of each field of ``model_based_fpi_fp(env)`` (300 outer iterations,
+# expl_every=1), as ``np.asarray(field).tobytes()``, recorded with numpy 2.4
+# on x86-64.  Speed changes to the solver keep every byte; a change that
+# moves them on purpose updates these digests and says why.  With
+# expl_every=None the solve is the same and the trace is empty.
+REFERENCE_DIGESTS = {
+    "toy-3x2-seed7": {
+        "q_star": "92d8f55b3fed7afee32815099632618b4c3de36f60c22703202bb900cb561f05",
+        "mu_star": "736968827ddd0776bc1f50160a24c4b80e14be5d70d7e9b7c18402f77f84a4b6",
+        "expl_iterations": "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+        "expl_trace": "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+        "final_exploitability": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        "iterations": "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
+        "converged": "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    },
+    "ring-road-50": {
+        "q_star": "92ae4e7865f87e3c776220ddc8e07074553cfe1ba01b4678f3d90cd195c1ca31",
+        "mu_star": "becfa86efcc0fefb5ebeb0867610a4928c30870a78899f3f9788f619ffe6b2a2",
+        "expl_iterations": "f190072c5052f4f440d4a607c25f5bced487c420806c9aab4ca5b0653e72da61",
+        "expl_trace": "d50635db767961852b5dfdb12940ef33ccde64798eaf79232374f9846807e727",
+        "final_exploitability": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        "iterations": "23d7f42b1cdc1f0d492ebd756ed0fe8003995dda554d99418d47a81813650207",
+        "converged": "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    },
+    "ring-road-200": {
+        "q_star": "64fd73f260d8f778c5e5ee2e932d267cf6c3f83d7a9c8c56ffc75a5587ce6e28",
+        "mu_star": "6b1f2eab628a01410613436a23115567a3efaa8293a70259dc9b981400056ea6",
+        "expl_iterations": "419ce84f0e9d892643ed1279ee8cdaa70ddc452e676dfe448cbeaaa830c06567",
+        "expl_trace": "af4acc7b5a076c3e13ee1a2c988e17d8dfb53c356a20e60d56d868f2d966ef71",
+        "final_exploitability": "039f27a9a9945b7a2041f901e0646e1ff521b990f8a7554ff36066fd85c8b91e",
+        "iterations": "cbbd5f990c53684d7ae650b40fcb5656e02261b53da5f6a7d8c819c92f2828f8",
+        "converged": "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    },
+    "flocking-50": {
+        "q_star": "a5857cac55054fd3a7e528b8489b8278091b659725d5f89a2dc0785c58e4cf00",
+        "mu_star": "9aca51498a012b6998dfd7ba5f62a765e413805fe040075193f17733e8b8dc20",
+        "expl_iterations": "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a",
+        "expl_trace": "aeba41883c5de4473520a642340ed35867bd7b0d2c6c33064e54ad14a5f94a7c",
+        "final_exploitability": "1fe497865b0ec764beb34dbd8e19e2bfee2f5f71e1bb26ebb2b080463fe45509",
+        "iterations": "a111f275cc2e7588000001d300a31e76336d15b9d314cd1a1d8f3d3556975eed",
+        "converged": "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    },
+    "sioux-falls": {
+        "q_star": "d8d92f88f46cb7b0e09096665690160e569448ea121a05d760585404ff92c9e6",
+        "mu_star": "8f9d09c1d8944522f029b0c9356175c892e6b1e19bf6f4822e14ad03162733d3",
+        "expl_iterations": "98e038d3a30a991777ce2f66d2e9b9f377e44b6444635d2b5dd70d38ae78f241",
+        "expl_trace": "fd28cf3fed3d5e6febe29785a65dae81bb224264fab00519e74adbda102272f9",
+        "final_exploitability": "a0e558cb5407c53b2644923bb0dbdc77011b7ab9cbe2f062eeed710861b39da4",
+        "iterations": "5fbbc50a5e0bc4e1bb5ea4bbacda5ae6709eff8e286fb002fee73a4913820fe9",
+        "converged": "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    },
+}
+
+
+@pytest.mark.parametrize("expl_every", [1, None])
+@pytest.mark.parametrize("name", sorted(REFERENCE_DIGESTS))
+def test_model_based_fpi_fp_bytes_match_reference_digests(name, expl_every):
+    ref = model_based_fpi_fp(SHIPPED_ENVS[name](), expl_every=expl_every)
+    want = dict(REFERENCE_DIGESTS[name])
+    if expl_every is None:
+        assert ref.expl_iterations.size == ref.expl_trace.size == 0
+        del want["expl_iterations"], want["expl_trace"]
+    got = {field: hashlib.sha256(np.asarray(getattr(ref, field)).tobytes()).hexdigest()
+           for field in want}
+    assert got == want
 
 
 def test_model_based_fpi_fp_gamma_zero():
