@@ -4,7 +4,9 @@ Both online learners run one sample loop, ``_run_passes``, in passes of K
 samples.  A pass draws its samples under the policy of the Q it starts from
 and updates the population weights after each sample (forward pass), then
 replays the same samples with the same step sizes to update the value
-weights (backward pass).  ``run_online_fpi`` is this forward-backward
+weights (backward pass).  A run keeps one policy-row cache for all its
+passes; every write to Q drops the rows it moves, and the next draw that
+misses recomputes them together.  ``run_online_fpi`` is this forward-backward
 baseline; ``run_semisgd`` is the case K = 1, in which every observation
 updates the value and population weights with the same step size, followed
 by the ball and simplex projections.  So online FPI with K = 1 retraces
@@ -122,13 +124,33 @@ class _Uniforms:
         self.random = doubles().__next__
 
 
+class _RowCache(dict):
+    """Policy rows and their inverse CDFs, ``state -> (row, cdf)``, and the
+    ``stale`` states whose rows a write to their Q row dropped.  The next
+    miss recomputes the stale rows with its own (``_OnlineRun._draw_action``).
+    """
+
+    __slots__ = ("stale",)
+
+    def __init__(self):
+        super().__init__()
+        self.stale = set()
+
+    def clear(self):
+        """Drop every row, after a write that moves all of Q."""
+        super().clear()
+        self.stale.clear()
+
+
 class _OnlineRun:
     """Chain and update plumbing of the sample loop ``_run_passes``.
 
     Holds flat parameter vectors plus a tabular (S, A) view of theta when
-    the feature map is one-hot, the current chain position, and the source
+    the feature map is one-hot, the current chain position, the source
     ``rng`` of every transition and action draw (after ``init_from_seed``,
-    the seeded generator's ``_Uniforms``).  The TD discount is the game's,
+    the seeded generator's ``_Uniforms``), and ``rows``, the policy rows of
+    the current Q.  Every write to theta goes through ``update_theta`` or
+    ``set_theta``, which keep ``rows`` valid.  The TD discount is the game's,
     ``env.gamma``.  General bases and feature maps use the semi-gradients
     of ``lfa``; the one-hot cases apply the same rules at a single index.
     """
@@ -166,6 +188,7 @@ class _OnlineRun:
         self.sum_err = 2.0 * basis.d2 * _U
         self.drift_cap = (SIMPLEX_TOL - self.sum_err) / (1.0 + self.sum_err)
         self.eta = np.full(basis.d2, 1.0 / basis.d2)
+        self.rows = _RowCache()
         self.s = 0
         self.a = 0
         self.rng = None
@@ -178,7 +201,7 @@ class _OnlineRun:
         self.eta = project_simplex(rng.random(self.basis.d2))
         self.rng = _Uniforms(rng)
         self.s = sample_action(self.env.initial_state, self.rng)
-        self.a = self._draw_action(self.q_table_now(), self.s, self.rng, {})
+        self.a = self._draw_action(self.q_table_now(), self.s, self.rng, self.rows)
 
     @property
     def eta(self) -> np.ndarray:
@@ -198,16 +221,29 @@ class _OnlineRun:
             return self.theta2d
         return q_table(self.theta, self.phi, self.env)
 
-    def _draw_action(self, q2d: np.ndarray, s: int, rng, rows: dict) -> int:
-        """On-policy action at s, remapped to the feasible actions there.
-        ``rows`` caches each state's policy row and its inverse CDF, and is
-        only valid while ``q2d`` does not change."""
-        feasible = self.feasible
+    def _draw_action(self, q2d: np.ndarray, s: int, rng, rows: _RowCache) -> int:
+        """On-policy action at s, remapped to the feasible actions there,
+        through ``rows``, a cache of policy rows of ``q2d``.  A miss computes
+        the rows at s and at every stale state together: row by row under
+        feasibility masks or for one row, one ``policy_row`` call on their
+        block of Q rows otherwise."""
+        pol, feasible = self.pol, self.feasible
         entry = rows.get(s)
         if entry is None:
-            q_row = q2d[s] if feasible is None else q2d[s, feasible[s]]
-            row = policy_row(self.pol, q_row)
-            entry = rows[s] = (row, row.cumsum())
+            stale = rows.stale
+            stale.add(s)
+            if feasible is not None or len(stale) == 1:
+                for t in stale:
+                    row = policy_row(pol, q2d[t] if feasible is None else q2d[t, feasible[t]])
+                    rows[t] = (row, row.cumsum())
+            else:
+                states = list(stale)
+                block = policy_row(pol, q2d[states])
+                cdfs = block.cumsum(axis=1)
+                for i, t in enumerate(states):
+                    rows[t] = (block[i], cdfs[i])
+            stale.clear()
+            entry = rows[s]
         j = sample_action(entry[0], rng, entry[1])
         return j if feasible is None else int(feasible[s][j])
 
@@ -218,12 +254,12 @@ class _OnlineRun:
 
     # -- chain and updates ----------------------------------------------
 
-    def chain_step(self, q2d_policy: np.ndarray, rows: dict):
+    def chain_step(self, q2d_policy: np.ndarray, rows: _RowCache):
         """Advance the chain one transition; the chain is never reset.
 
         The next action is drawn from the supplied Q table, the one the
-        current pass started from, with that pass's policy-row cache
-        ``rows``.  Returns the observation (s, a, r, s_next, a_next).
+        current pass started from, through the policy-row cache ``rows``
+        of that table.  Returns the observation (s, a, r, s_next, a_next).
         """
         env = self.env
         m = self.represent()
@@ -294,11 +330,17 @@ class _OnlineRun:
         then bounds the norm, and the exact norm is computed only once the
         bound passes ``bound_cap``.  Dense feature maps take the exact norm
         after every sample.
+
+        A one-hot step drops the row at s from ``rows`` and marks s stale; a
+        dense step and a rescaling move every row and empty the cache.
         """
+        rows = self.rows
         if self.tabular_q:
             q = self.theta2d
             td = (q[s, a] - self.gamma * q[s_next, a_next]) - r
             q[s, a] -= alpha * td
+            if rows.pop(s, None) is not None:
+                rows.stale.add(s)
             v = abs(q[s, a])
             if v > self.theta_bound:
                 self.theta_bound = v
@@ -307,18 +349,21 @@ class _OnlineRun:
         else:
             obs = Observation(s, a, r, s_next, a_next)
             self.theta -= alpha * semi_gradient_theta(self.theta, obs, self.phi, self.gamma)
+            rows.clear()
         if self.project:
             norm = float(np.sqrt(self.theta @ self.theta))
             if norm > self.radius:
                 scale = self.radius / norm
                 self.theta *= scale
                 self.theta_bound *= scale
+                rows.clear()
 
     def set_theta(self, theta):
-        """Overwrite theta in place, so the tabular view stays bound, and
-        recompute ``theta_bound``."""
+        """Overwrite theta in place, so the tabular view stays bound,
+        recompute ``theta_bound`` and empty the row cache."""
         self.theta[:] = theta
         self.theta_bound = float(np.abs(self.theta).max())
+        self.rows.clear()
 
     def parameter(self) -> UnifiedParameter:
         return UnifiedParameter(theta=self.theta.copy(), eta=self._eta.copy())
@@ -411,11 +456,13 @@ def _run_passes(
 ) -> RunRecord:
     """The sample loop of both learners: T samples in passes of K.
 
-    The forward pass never writes theta, so each pass computes the policy
-    row of a visited state once, from the Q the pass started from, and
-    reuses it.  A snapshot inside a pass sees that frozen theta; one at a
-    pass boundary, t = T included, is taken after the pass's value update
-    and mixing.  A parameter is recorded after every pass.
+    The forward pass never writes theta, so each pass draws from the Q it
+    started from and computes the policy row of a visited state at most
+    once.  The run's row cache outlives the pass: a row is recomputed only
+    after a write to Q moved it.  A snapshot inside a pass sees that frozen
+    theta; one at a pass boundary, t = T included, is taken after the
+    pass's value update and mixing.  A parameter is recorded after every
+    pass.
     """
     phi, basis, pol = _defaults(env, cfg, phi, basis)
     if algorithm == "fpi-er":
@@ -431,11 +478,11 @@ def _run_passes(
     fp, md = algorithm == "fpi-fp", algorithm == "fpi-md"
     eta_hist = run.eta.copy() if fp else None
     theta_hist = run.theta.copy() if md else None
+    rows = run.rows
 
     for outer, start in enumerate(range(0, total, k)):
         end = min(start + k, total)
         q = run.q_table_now()
-        rows = {}  # policy rows of q, for this forward pass only
         obs = []
         for t in range(start, end):
             alpha = step_size(schedule, t)

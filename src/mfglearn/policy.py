@@ -34,7 +34,8 @@ def argmax_operator() -> PolicyOperator:
 
 
 def policy_row(op: PolicyOperator, q_row: np.ndarray) -> np.ndarray:
-    """Distribution over the entries of one Q row (all entries feasible).
+    """Distribution over the last axis of one Q row, or of each row of an
+    (n, A) block of rows (all entries feasible).
 
     Softmax subtracts the row max before exponentiating so that huge inverse
     temperatures (e.g. 1e9) cannot overflow.  Argmax puts probability one on
@@ -42,16 +43,20 @@ def policy_row(op: PolicyOperator, q_row: np.ndarray) -> np.ndarray:
 
     The softmax is built in place on one float64 temporary (so an integer
     row gives a float distribution), and the max and sum are the ufunc
-    reductions that ``ndarray.max`` and ``ndarray.sum`` call.
+    reductions that ``ndarray.max`` and ``ndarray.sum`` call, along the last
+    axis: row i of a block has the bytes of the same row passed alone.
     """
     if op.kind == "softmax":
-        z = np.subtract(q_row, np.maximum.reduce(q_row), dtype=np.float64)
+        # one row takes the scalar reductions, which cost less than kept axes
+        one = q_row.ndim == 1
+        top = np.maximum.reduce(q_row) if one else np.maximum.reduce(q_row, axis=-1, keepdims=True)
+        z = np.subtract(q_row, top, dtype=np.float64)
         z *= op.inverse_temperature
         np.exp(z, out=z)
-        z /= np.add.reduce(z)
+        z /= np.add.reduce(z) if one else np.add.reduce(z, axis=-1, keepdims=True)
         return z
-    out = np.zeros(q_row.shape[0])
-    out[int(np.argmax(q_row))] = 1.0
+    out = np.zeros(q_row.shape)
+    np.put_along_axis(out, np.argmax(q_row, axis=-1, keepdims=True), 1.0, axis=-1)
     return out
 
 
@@ -79,13 +84,12 @@ def policy_matrix(
     q_matrix: np.ndarray,
     feasible: Optional[tuple] = None,
 ) -> np.ndarray:
-    """Full (S, A) policy table from a Q table, respecting feasibility masks."""
-    n_s, n_a = q_matrix.shape
-    pi = np.zeros((n_s, n_a))
-    for s in range(n_s):
-        if feasible is None:
-            pi[s] = policy_row(op, q_matrix[s])
-        else:
-            feas = feasible[s]
-            pi[s, feas] = policy_row(op, q_matrix[s, feas])
+    """Full (S, A) policy table from a Q table, respecting feasibility masks:
+    one ``policy_row`` call on the whole table, or one per state under
+    masks, with zero mass on the infeasible actions."""
+    if feasible is None:
+        return policy_row(op, q_matrix)
+    pi = np.zeros(q_matrix.shape)
+    for s, feas in enumerate(feasible):
+        pi[s, feas] = policy_row(op, q_matrix[s, feas])
     return pi

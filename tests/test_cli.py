@@ -569,13 +569,16 @@ def test_compare_lfa_says_when_it_caps_the_steps(tmp_path, capsys, ring200_refer
     assert outputs[20000] == outputs[10000]
 
 
-# SHA-256 of every output file of nine small specs, recorded with numpy 2.4
+# SHA-256 of every output file of twelve small specs, recorded with numpy 2.4
 # on x86-64.  Speed changes must keep result bytes; a change that moves them
 # on purpose updates these digests and says why.  Entries four to seven pin
 # the ER policy, a grid's cell width (flocking), a derived tan-normal Gram
-# matrix and a Sioux Falls reference.  The last two run 10,000 steps, about
-# 20,000 uniforms per run, so their draws cross many of the blocks in which
-# a run takes its uniforms from its generator.
+# matrix and a Sioux Falls reference.  Entries eight and nine run 10,000
+# steps, about 20,000 uniforms per run, so their draws cross many of the
+# blocks in which a run takes its uniforms from its generator.  The last
+# three pin the writes that invalidate a run's policy rows: masked Sioux
+# Falls rows with MD mixing, fictitious-play passes on ring road, and a
+# toy ball radius that the learner's theta reaches mid-run.
 GOLDEN_DIGESTS = {
     "toy-run": {
         "aggregate.csv": "075690c41dbe7fbbe2657fc0e274be37252654dfb560540cd40455e1083c0668",
@@ -651,6 +654,36 @@ GOLDEN_DIGESTS = {
             "af2a083f781a7cfcd2f48e0daa7403665b335442683218f2da7a039cd2d1f75d",
         "sweep_k.csv": "03e3d9e2978ee0076604af427042c4e8fb700a272f7955b39a14ea283e881626",
     },
+    "sioux-falls-run-fpi-md": {
+        "aggregate.csv": "ab2d17eeb51974dee8795e18e9a6f75e88115dfe5640ee9b3ee6ae5d7cb2f5d1",
+        "reference/meta.json": "e304eaeb9e4c92b9bbf3ffd4381f3cac28d4d8bd868fb28adb57f92e5e34af6c",
+        "reference/mu_star.txt": "d555b1c4006cccab1b0dfc51513f48e663051eacb35ca56688eee48ac11d2c74",
+        "reference/q_star.txt": "ed12ba1f50de8dfffe22424222748f2a82e7b9ced19026ff2c9acd765fe229b0",
+        "reference/reference.csv":
+            "9e255d16748106531ea3631e8a12be28720e8dfe5c214ac83670bfe5faa40dd4",
+        "run_seed0.csv": "8dff292775b7b4d1d285142a5f4bc44b59067d56d994ce0e1aee46632448510d",
+        "run_seed1.csv": "4656cad668832abbad40bc1c137d387a2ee70e7efc8247806de340cb2909835d",
+    },
+    "ring-road-run-fpi-fp": {
+        "aggregate.csv": "2b5ba35378b787248abdc8ea3c4dc8a7f5861fcbcd5bee1bad59470773d033de",
+        "reference/meta.json": "c7e513f85ab98953744f006ea44418800bf4748fa9e428daa489d362a6f30017",
+        "reference/mu_star.txt": "b1adf8b7935edbe6d51c8569ca7cb4062a46bd2f05c62f806647ca188a11b093",
+        "reference/q_star.txt": "2c67f55c9b496f31c8095ef69111db4d57fd8f2f075b795957d5dad2fab2ab17",
+        "reference/reference.csv":
+            "af2a083f781a7cfcd2f48e0daa7403665b335442683218f2da7a039cd2d1f75d",
+        "run_seed0.csv": "1b5b893a60b531a80c8503bd1ac46627de0c36e140c2aa072659e4e85033560b",
+        "run_seed1.csv": "e1574548873cc0b5a197a7d38e20cae5cca973e296cf2f23f150c7448c85b731",
+    },
+    "toy-run-ball": {
+        "aggregate.csv": "41d88534ded8ab0aaef9024c9bc78d7ddcc0e49663400c176b5d7ad583a57948",
+        "reference/meta.json": "33c9637c6a99b0643253464a728444900a7e14ee062ecd23aef49daaf2779e98",
+        "reference/mu_star.txt": "d3a7e9d78ee91facec21589c0054e243213991dc5d278c6e319529b0bbd64a57",
+        "reference/q_star.txt": "4eabc8e38b590da68810696e0c8d20183fd989b3e21fefc6acf6f9443d6ef96e",
+        "reference/reference.csv":
+            "3ec93e930e5f024e922f4f27c39b3799a0012397966abd73c9c8201322ec1853",
+        "run_seed0.csv": "360076a97ace7d25b6f974068ed8de20b1f109a37986b054b1a9cd8868f77e03",
+        "run_seed1.csv": "a25aee6fa52cee0c61b7facfc6c7333f50d8447a8d912f47e39a464b6dfed6f8",
+    },
 }
 
 
@@ -661,6 +694,8 @@ def test_cli_output_bytes_match_golden_digests(tmp_path, ring200_reference_dir):
     tan_normal.write_text(json.dumps({"basis": "tan-normal", "basis_d2": 6}))
     sioux = tmp_path / "sioux.json"
     sioux.write_text(json.dumps({"reference_outer_iters": 5}))
+    ball = tmp_path / "ball.json"
+    ball.write_text(json.dumps({"ball_radius": 0.01}))
     specs = {
         "toy-run": ["run", "--env", "toy", "--steps", "2000", "--seeds", "0,1"],
         "ring-road-50-sweep-k": ["sweep-k", "--env", "ring-road", "--k-list", "1,10",
@@ -677,6 +712,13 @@ def test_cli_output_bytes_match_golden_digests(tmp_path, ring200_reference_dir):
         "toy-run-10000": ["run", "--env", "toy", "--steps", "10000", "--seeds", "0"],
         "ring-road-50-sweep-k-10000": ["sweep-k", "--env", "ring-road", "--k-list", "1,100",
                                        "--steps", "10000", "--seeds", "0"],
+        "sioux-falls-run-fpi-md": ["run", "--env", "sioux-falls", "--algo", "fpi-md",
+                                   "--inner-k", "10", "--steps", "2000", "--seeds", "0,1",
+                                   "--config", str(sioux)],
+        "ring-road-run-fpi-fp": ["run", "--env", "ring-road", "--algo", "fpi-fp",
+                                 "--steps", "2000", "--seeds", "0,1"],
+        "toy-run-ball": ["run", "--env", "toy", "--steps", "2000", "--seeds", "0,1",
+                         "--config", str(ball)],
     }
     for name, argv in specs.items():
         out = tmp_path / name

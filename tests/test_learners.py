@@ -32,7 +32,12 @@ from mfglearn.lfa import (
 from mfglearn.metrics import induced_population, value_iteration
 from mfglearn.policy import argmax_operator
 
-from .conftest import identity_features, simplex_projection_oracle, validate_parameter
+from .conftest import (
+    identity_features,
+    policy_row_oracle,
+    simplex_projection_oracle,
+    validate_parameter,
+)
 from .test_envs import eigen_stationary
 from .test_metrics import SHIPPED_ENVS, make_env, seed_value_iteration
 
@@ -87,7 +92,7 @@ def semisgd_step(env, eta, s, alpha):
                               argmax_operator(), np.inf)
     run.eta = np.array(eta)
     run.s, run.a, run.rng = s, 0, np.random.default_rng(0)
-    s, a, r, s_next, a_next = run.chain_step(run.q_table_now(), {})
+    s, a, r, s_next, a_next = run.chain_step(run.q_table_now(), learners._RowCache())
     run.update_eta(s_next, alpha)
     run.update_theta(s, a, r, s_next, a_next, alpha)
     return run
@@ -503,7 +508,7 @@ def _uncached_fpi_trace(env, cfg, variant, phi=None, basis=None):
         frozen_q = run.q_table_now().copy()
         obs = []
         for i in range(k_eff):
-            obs.append(run.chain_step(frozen_q, {}))
+            obs.append(run.chain_step(frozen_q, learners._RowCache()))
             s_next, alpha = obs[-1][3], step_size(cfg.schedule, base_t + i)
             if run.tabular_m:
                 eta *= 1.0 - alpha
@@ -679,6 +684,108 @@ def test_run_online_fpi_computes_one_row_per_visited_state_per_pass(toy_env, mon
     assert 1 + 10 <= len(calls) <= 1 + 10 * toy_env.n_states
 
 
+def _check_every_draw(monkeypatch):
+    """Make every draw of a run through its own row cache check the row and
+    CDF it drew from against the frozen oracle of the current Q row,
+    recomputed from theta.  Returns the list of drawn states."""
+    original = learners._OnlineRun._draw_action
+    drawn = []
+
+    def checked(self, q2d, s, rng, rows):
+        a = original(self, q2d, s, rng, rows)
+        assert rows is self.rows
+        row, cdf = rows[s]
+        q = learners.q_table(self.theta, self.phi, self.env)
+        want = policy_row_oracle(self.pol, q[s] if self.feasible is None
+                                 else q[s, self.feasible[s]])
+        assert row.tobytes() == want.tobytes(), (len(drawn), s)
+        assert cdf.tobytes() == want.cumsum().tobytes(), (len(drawn), s)
+        drawn.append(s)
+        return a
+
+    monkeypatch.setattr(learners._OnlineRun, "_draw_action", checked)
+    return drawn
+
+
+@pytest.mark.parametrize("env_tag,algorithm,k,features,radius", [
+    *[(env_tag, algorithm, k, None, None)
+      for env_tag in ("toy", "ring-road")
+      for algorithm, k in (("semisgd", 1), ("fpi-vanilla", 10), ("fpi-vanilla", 100),
+                           ("fpi-md", 10))],
+    # the radii at which the ball fires mid-run
+    ("toy", "semisgd", 1, None, 0.06),
+    ("toy", "fpi-vanilla", 1, None, 0.06),
+    ("toy", "fpi-md", 10, None, 0.006),
+    ("ring-road", "semisgd", 1, None, 0.008),
+    ("ring-road", "fpi-vanilla", 1, None, 0.008),
+    ("ring-road", "fpi-md", 10, None, 5e-4),
+    ("toy", "semisgd", 1, "identity", 0.06),
+    ("toy", "fpi-md", 10, "low-rank", 0.01),
+    # a dense identity map, and masked rows
+    ("toy", "semisgd", 1, "identity", None),
+    ("toy", "fpi-vanilla", 10, "identity", None),
+    ("sioux-falls", "semisgd", 1, None, None),
+    ("sioux-falls", "fpi-md", 10, None, None),
+])
+def test_every_draw_uses_the_policy_row_of_the_current_q(
+        env_tag, algorithm, k, features, radius, monkeypatch):
+    # the run-long row cache across one-entry TD writes, ball rescalings, MD
+    # mixing and dense TD steps: no draw may read a row that a write moved
+    from mfglearn.cli import DEFAULT_INVERSE_TEMPERATURE, default_ball_radius
+
+    env = {
+        "toy": lambda: toy_finite_env(3, 2, seed=7),
+        "ring-road": lambda: ring_road_env(50),
+        "sioux-falls": sioux_falls_env,
+    }[env_tag]()
+    phi = {
+        None: None,
+        "identity": identity_features(env.n_states, env.n_actions),
+        "low-rank": _low_rank_features(env.n_states, env.n_actions, 4, seed=5),
+    }[features]
+    steps = 600 if radius is not None else 2000
+    cfg = RunConfig(
+        total_steps=steps,
+        schedule=StepSizeSchedule(0.05),
+        inverse_temperature=DEFAULT_INVERSE_TEMPERATURE[env_tag],
+        ball_radius=radius if radius is not None else default_ball_radius(env),
+        seed=3,
+        inner_k=k,
+        algorithm=algorithm,
+        cadence=100,
+        expl_every=None,
+    )
+    drawn = _check_every_draw(monkeypatch)
+    learn = run_semisgd if algorithm == "semisgd" else run_online_fpi
+    learn(env, cfg, phi=phi)
+    assert len(drawn) == steps + 1
+
+
+def test_semisgd_computes_a_policy_row_for_under_a_quarter_of_its_samples(monkeypatch):
+    # ring-road-50 at the CLI defaults: a row is recomputed only after a
+    # write to its state's Q row, and a refresh takes every such row at once
+    from mfglearn.cli import DEFAULT_INVERSE_TEMPERATURE, default_ball_radius
+
+    calls = []
+    original = learners.policy_row
+    monkeypatch.setattr(learners, "policy_row",
+                        lambda op, q_row: calls.append(1) or original(op, q_row))
+    env = ring_road_env(50)
+    steps = 20_000
+    for seed in range(3):
+        cfg = RunConfig(
+            total_steps=steps,
+            schedule=StepSizeSchedule(1e-3),
+            inverse_temperature=DEFAULT_INVERSE_TEMPERATURE["ring-road"],
+            ball_radius=default_ball_radius(env),
+            seed=seed,
+            cadence=1000,
+            expl_every=None,
+        )
+        run_semisgd(env, cfg)
+    assert len(calls) < 3 * steps / 4, len(calls)
+
+
 def _exact_drift(eta) -> Fraction:
     """|sum(eta) - 1| in exact rational arithmetic."""
     return abs(sum(map(Fraction, eta.tolist()), Fraction(0)) - 1)
@@ -720,7 +827,7 @@ def test_simplex_sum_bound_is_sound_and_decides_as_the_full_test(
         if t in writes:
             run.eta = writes[t]()
         alpha = step_size(schedule, t)
-        s_next = run.chain_step(q, {})[3]
+        s_next = run.chain_step(q, learners._RowCache())[3]
         want = run.eta.copy()
         want *= 1.0 - alpha
         want[s_next] += alpha

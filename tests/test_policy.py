@@ -147,7 +147,7 @@ def _assert_pass_cache_matches_oracle(run, q, visits, draws, draws_oracle):
     oracle draws from rows recomputed at every visit: the first visit of a
     state misses the cache, every later one draws from its cached CDF."""
     feasible = run.feasible
-    rows = {}
+    rows = learners._RowCache()
     for s in visits:
         feas = np.arange(q.shape[1]) if feasible is None else feasible[s]
         want = feas[sample_action_oracle(policy_row_oracle(run.pol, q[s, feas]), draws_oracle)]
@@ -173,6 +173,17 @@ def test_policy_row_and_draws_match_the_frozen_oracle(beta, n_actions):
             _assert_matches_oracle(op, table[0], seed=i)
             _assert_matches_oracle(op, np.asfortranarray(table)[0], seed=i)
         q = np.array(_oracle_rows(n_actions, beta, rng))
+        # the rows stacked into one block, as a run's cache refresh passes
+        # them: row i of the block's distribution and of its CDF has the
+        # bytes of the oracle row
+        for n in (1, 2, 3, 7, q.shape[0]):
+            block = policy_row(op, q[:n])
+            cdfs = block.cumsum(axis=1)
+            assert block.shape == cdfs.shape == (n, n_actions)
+            for q_row, got, cdf in zip(q[:n], block, cdfs):
+                want = policy_row_oracle(op, q_row)
+                assert got.tobytes() == want.tobytes(), (n, q_row)
+                assert cdf.tobytes() == want.cumsum().tobytes(), (n, q_row)
         draws, draws_oracle = np.random.default_rng(n_actions), np.random.default_rng(n_actions)
         _assert_pass_cache_matches_oracle(_pass_cache_run(toy_finite_env(3, 2, seed=7), op), q,
                                           _visits(q.shape[0], rng), draws, draws_oracle)
