@@ -1,5 +1,5 @@
 """Experiment orchestration: config ingestion, seed fan-out, reference
-caching, and deterministic CSV emission.
+reuse, and deterministic CSV emission.
 
 Subcommands: ``reference``, ``run``, ``sweep-k``, ``compare-lfa``.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
@@ -191,14 +191,14 @@ def _check_finite(values) -> None:
 
 
 def write_reference(out_dir: Path, env: EnvironmentModel, ref: ReferenceSolution):
+    _check_finite(ref.expl_trace)
+    _check_finite(ref.mu_star)
+    _check_finite(ref.q_star)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         [str(int(i)), _fmt(v)]
         for i, v in zip(ref.expl_iterations, ref.expl_trace)
     ]
-    _check_finite(ref.expl_trace)
-    _check_finite(ref.mu_star)
-    _check_finite(ref.q_star)
     _write_csv(out_dir / "reference.csv", ["iteration", "exploitability"], rows)
     (out_dir / "mu_star.txt").write_text(
         "".join(_fmt(x) + "\n" for x in ref.mu_star), encoding="utf-8", newline="\n"
@@ -220,64 +220,34 @@ def write_reference(out_dir: Path, env: EnvironmentModel, ref: ReferenceSolution
     )
 
 
-def load_reference(ref_dir: Path) -> ReferenceSolution:
-    meta = json.loads((ref_dir / "meta.json").read_text(encoding="utf-8"))
-    mu = np.array(
-        [float(line) for line in (ref_dir / "mu_star.txt").read_text().split()]
-    )
-    q = np.array(
-        [float(line) for line in (ref_dir / "q_star.txt").read_text().split()]
-    ).reshape(meta["n_states"], meta["n_actions"])
-    trace_lines = (ref_dir / "reference.csv").read_text().splitlines()[1:]
-    iters, vals = [], []
-    for line in trace_lines:
-        i, v = line.split(",")
-        iters.append(int(i))
-        vals.append(float(v))
-    return ReferenceSolution(
-        q_star=q,
-        mu_star=mu,
-        iterations=meta["iterations"],
-        final_exploitability=meta["final_exploitability"],
-        outer_iters=meta["outer_iters"],
-        converged=meta["converged"],
-        expl_iterations=np.array(iters, dtype=int),
-        expl_trace=np.array(vals),
-    )
-
-
-def _solved_for(ref_dir: Path, env: EnvironmentModel, outer_iters: int) -> bool:
-    """Whether the reference in ref_dir was solved for this environment
-    with this outer-iteration budget; a meta.json without one was not."""
-    meta = json.loads((ref_dir / "meta.json").read_text(encoding="utf-8"))
-    return (
-        meta["env"] == env.name
-        and meta["n_states"] == env.n_states
-        and meta.get("outer_iters") == outer_iters
-    )
-
-
 def ensure_reference(
     spec: ExperimentSpec, env: EnvironmentModel, out_dir: Path
-) -> ReferenceSolution:
-    """Load the configured reference, else the one cached for this
-    environment and ``reference_outer_iters`` under the output dir, else
-    compute and cache one."""
+) -> np.ndarray:
+    """The reference population mu*: the ``mu_star.txt`` of the ``reference``
+    directory, one finite mass per state, whose ``meta.json`` must name this
+    environment and ``reference_outer_iters`` (one without a budget does
+    not); else solved and written to ``out_dir/reference``."""
     outer_iters = spec.reference_outer_iters
-    if spec.reference is not None:
-        ref_dir = Path(spec.reference)
-        if not _solved_for(ref_dir, env, outer_iters):
-            raise ConfigError(
-                f"reference {ref_dir} was not solved for {env.name} "
-                f"with reference_outer_iters = {outer_iters}"
-            )
-        return load_reference(ref_dir)
-    ref_dir = out_dir / "reference"
-    if (ref_dir / "meta.json").exists() and _solved_for(ref_dir, env, outer_iters):
-        return load_reference(ref_dir)
-    ref = model_based_fpi_fp(env, outer_iters=outer_iters)
-    write_reference(ref_dir, env, ref)
-    return ref
+    if spec.reference is None:
+        ref = model_based_fpi_fp(env, outer_iters=outer_iters)
+        write_reference(out_dir / "reference", env, ref)
+        return ref.mu_star
+    ref_dir = Path(spec.reference)
+    meta = json.loads((ref_dir / "meta.json").read_text(encoding="utf-8"))
+    solved_for = meta["env"], meta["n_states"], meta.get("outer_iters")
+    if solved_for != (env.name, env.n_states, outer_iters):
+        raise ConfigError(
+            f"reference {ref_dir} was not solved for {env.name} "
+            f"with reference_outer_iters = {outer_iters}"
+        )
+    path = ref_dir / "mu_star.txt"
+    try:
+        mu = np.array([float(x) for x in path.read_text(encoding="utf-8").split()])
+    except ValueError:  # a token that is not a number
+        mu = np.array([])
+    if mu.shape != (env.n_states,) or not np.all(np.isfinite(mu)):
+        raise ConfigError(f"{path} does not hold {env.n_states} finite masses")
+    return mu
 
 
 def _run_configs(spec: ExperimentSpec, env: EnvironmentModel) -> List[RunConfig]:
@@ -393,10 +363,10 @@ def cmd_run(spec: ExperimentSpec) -> Path:
     cfgs = _run_configs(spec, env)
     basis = _spec_basis(spec, env)
     out_dir = Path(spec.out)
+    mu_ref = ensure_reference(spec, env, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ref = ensure_reference(spec, env, out_dir)
     records = []
-    for record in _run_seeds(env, cfgs, ref.mu_star, basis=basis):
+    for record in _run_seeds(env, cfgs, mu_ref, basis=basis):
         _write_csv(
             out_dir / f"run_seed{record.seed}.csv",
             ["step", "mse", "exploitability"],
@@ -434,10 +404,10 @@ def cmd_sweep_k(spec: ExperimentSpec, k_list: List[int]) -> Path:
     sweep = [(k, _run_configs(replace(spec, inner_k=int(k)), env)) for k in k_list]
     basis = _spec_basis(spec, env)
     out_dir = Path(spec.out)
+    mu_ref = ensure_reference(spec, env, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ref = ensure_reference(spec, env, out_dir)
     rows = [
-        [str(int(k))] + _summary_row(_run_seeds(env, cfgs, ref.mu_star, basis=basis), -1)[1:]
+        [str(int(k))] + _summary_row(_run_seeds(env, cfgs, mu_ref, basis=basis), -1)[1:]
         for k, cfgs in sweep
     ]
     _write_csv(
@@ -483,16 +453,16 @@ def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
         for d2 in d2_list
     ]
     out_dir = Path(spec.out)
+    mu_ref = ensure_reference(spec, env_fine, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ref = ensure_reference(spec, env_fine, out_dir)
     rows = []
     for d2, env_coarse, cfgs, basis in zip(d2_list, coarse, coarse_cfgs, bases):
         # (a) grid discretization: plain tabular run on the coarsened game
         ref_map = resample_masses(int(d2), COMPARE_LFA_GRID)
-        runs = _run_seeds(env_coarse, cfgs, ref.mu_star, ref_map=ref_map)
+        runs = _run_seeds(env_coarse, cfgs, mu_ref, ref_map=ref_map)
         rows.append([str(int(d2)), "discretization"] + _summary_row(runs, -1)[1:3])
         # (b) PA-LFA: fine grid with a tan-normal measure basis
-        runs = _run_seeds(env_fine, fine_cfgs, ref.mu_star, basis=basis)
+        runs = _run_seeds(env_fine, fine_cfgs, mu_ref, basis=basis)
         rows.append([str(int(d2)), "pa-lfa"] + _summary_row(runs, -1)[1:3])
     _write_csv(out_dir / "compare_lfa.csv", ["d2", "method", "mse_mean", "mse_std"], rows)
     return out_dir

@@ -116,8 +116,8 @@ class StepSizeSchedule:
     def __post_init__(self):
         if not (0.0 < self.a0 < 1.0):
             raise ConfigError(f"initial step size must lie in (0,1), got {self.a0}")
-        if self.b < 0:
-            raise ConfigError("decay rate b must be >= 0")
+        if not (np.isfinite(self.b) and self.b >= 0):
+            raise ConfigError(f"decay rate b must be finite and >= 0, got {self.b}")
 
 
 ALGORITHMS = ("semisgd", "fpi-vanilla", "fpi-fp", "fpi-md", "fpi-er")
@@ -141,10 +141,14 @@ class RunConfig:
     def __post_init__(self):
         if self.total_steps < 0:
             raise ConfigError("total_steps must be >= 0")
-        if self.inverse_temperature <= 0:
-            raise ConfigError("inverse temperature must be positive")
-        if self.ball_radius <= 0:
-            raise ConfigError("ball radius must be positive")
+        if not (np.isfinite(self.inverse_temperature) and self.inverse_temperature > 0):
+            raise ConfigError(
+                f"inverse temperature must be finite and positive, got {self.inverse_temperature}"
+            )
+        if not self.ball_radius > 0:  # NaN fails; inf is a ball that never projects
+            raise ConfigError(f"ball radius must be positive, got {self.ball_radius}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm != "semisgd":

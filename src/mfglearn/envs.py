@@ -401,6 +401,8 @@ def toy_finite_env(
         raise ConfigError("toy environment is limited to at most 6 states/actions")
     if not (0.0 <= eps < 1.0):
         raise ConfigError(f"eps must lie in [0,1), got {eps}")
+    if seed < 0:
+        raise ConfigError(f"toy seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     if kernel_rank is not None:

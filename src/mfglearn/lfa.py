@@ -117,8 +117,10 @@ def tan_normal_basis(
         raise BasisError(f"d2 must be >= 1, got {d2}")
     if v is None:
         v = d2 / 2.0
-    if v <= 0:
-        raise BasisError(f"variance must be positive, got {v}")
+    if not (np.isfinite(v) and v > 0):
+        raise BasisError(f"variance must be finite and positive, got {v}")
+    if not np.isfinite(c):
+        raise BasisError(f"c must be finite, got {c}")
 
     n = states.size
     delta = states.delta

@@ -15,7 +15,6 @@ from mfglearn.cli import (
     cmd_reference,
     cmd_run,
     cmd_sweep_k,
-    load_reference,
     main,
     spec_from_config,
 )
@@ -42,15 +41,19 @@ def read(path):
     return path.read_text(encoding="utf-8")
 
 
+def read_floats(path):
+    return np.array([float(x) for x in read(path).split()])
+
+
 def test_cmd_reference_writes_expected_files(tmp_path):
     out = cmd_reference(toy_spec(tmp_path / "ref"))
     assert (out / "reference.csv").exists()
     assert (out / "mu_star.txt").exists()
     assert (out / "q_star.txt").exists()
-    ref = load_reference(out)
-    assert ref.mu_star.shape == (3,)
-    assert ref.q_star.shape == (3, 2)
-    assert abs(ref.mu_star.sum() - 1.0) <= 1e-12
+    mu = read_floats(out / "mu_star.txt")
+    assert mu.shape == (3,)
+    assert read_floats(out / "q_star.txt").shape == (3 * 2,)
+    assert abs(mu.sum() - 1.0) <= 1e-12
 
 
 def test_cmd_reference_toy_exploitability_trend(tmp_path):
@@ -168,10 +171,12 @@ def test_explicit_reference_of_another_env_is_a_config_error(tmp_path):
     ref_dir = cmd_reference(toy_spec(tmp_path / "ref"))
     with pytest.raises(ConfigError, match="toy-3x2-seed8"):
         cmd_run(toy_spec(tmp_path / "run", reference=str(ref_dir), toy_seed=8))
+    assert not (tmp_path / "run").exists()
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"reference": str(ref_dir), "toy_seed": 8}))
     assert main(["run", "--env", "toy", "--config", str(config),
                  "--out", str(tmp_path / "cli")]) == 2
+    assert not (tmp_path / "cli").exists()
 
 
 def test_cached_reference_of_another_budget_is_recomputed(tmp_path):
@@ -188,6 +193,84 @@ def test_explicit_reference_of_another_budget_is_a_config_error(tmp_path):
                                   "steps": 200, "seeds": [0]}))
     assert main(["run", "--env", "toy", "--config", str(config),
                  "--out", str(tmp_path / "cli")]) == 2
+    assert not (tmp_path / "cli").exists()
+
+
+def test_out_holding_a_reference_solves_it_again(tmp_path):
+    # a reference left in --out is not read: every byte comes from the spec
+    fresh = cmd_run(toy_spec(tmp_path / "fresh"))
+    stale = tmp_path / "stale" / "reference"
+    stale.mkdir(parents=True)
+    for path in (fresh / "reference").iterdir():
+        (stale / path.name).write_bytes(path.read_bytes())
+    (stale / "mu_star.txt").write_text("0.5\n0.25\n0.25\n", encoding="utf-8")
+    out = cmd_run(toy_spec(tmp_path / "stale"))
+    for path in fresh.rglob("*"):
+        if path.is_file():
+            assert (out / path.relative_to(fresh)).read_bytes() == path.read_bytes(), path
+
+
+def test_explicit_reference_needs_only_meta_and_mu_star(tmp_path):
+    ref_dir = cmd_reference(toy_spec(tmp_path / "ref"))
+    slim = tmp_path / "slim"
+    slim.mkdir()
+    for name in ("meta.json", "mu_star.txt"):
+        (slim / name).write_bytes((ref_dir / name).read_bytes())
+    outputs = []
+    for reference in (ref_dir, slim):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"reference": str(reference), "reference_outer_iters": 50,
+                                      "steps": 400, "seeds": [0, 1], "expl_every": 200}))
+        out = tmp_path / f"run-{reference.name}"
+        assert main(["run", "--env", "toy", "--config", str(config), "--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(outputs[0]) == ["aggregate.csv", "run_seed0.csv", "run_seed1.csv"]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:-1],
+    lambda lines: lines + ["0.0"],
+    lambda lines: ["nan"] + lines[1:],
+    lambda lines: ["inf"] + lines[1:],
+    lambda lines: ["x"] + lines[1:],
+], ids=["truncated", "one-too-many", "nan", "inf", "not-a-number"])
+def test_explicit_mu_star_of_the_wrong_length_or_not_finite_is_a_config_error(
+    tmp_path, capsys, edit
+):
+    ref_dir = cmd_reference(toy_spec(tmp_path / "ref"))
+    mu_star = ref_dir / "mu_star.txt"
+    mu_star.write_text("".join(line + "\n" for line in edit(read(mu_star).split())),
+                       encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reference": str(ref_dir), "reference_outer_iters": 50,
+                                  "steps": 200, "seeds": [0]}))
+    out = tmp_path / "out"
+    assert main(["run", "--env", "toy", "--config", str(config), "--out", str(out)]) == 2
+    assert "does not hold 3 finite masses" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_reference_that_cannot_be_read_or_solved_leaves_nothing(tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reference": str(tmp_path / "nope")}))
+    out = tmp_path / "out"
+    assert main(["sweep-k", "--env", "toy", "--k-list", "1", "--steps", "100",
+                 "--config", str(config), "--out", str(out)]) == 4
+    assert not out.exists()
+
+    from dataclasses import replace
+
+    solve = cli.model_based_fpi_fp
+
+    def non_finite_solve(env, **kwargs):
+        return replace(solve(env, **kwargs), mu_star=np.full(env.n_states, np.nan))
+
+    monkeypatch.setattr(cli, "model_based_fpi_fp", non_finite_solve)
+    for argv in (["run", "--env", "toy"], ["sweep-k", "--env", "toy", "--k-list", "1"],
+                 ["compare-lfa", "--env", "ring-road", "--d2-list", "5"]):
+        assert main([*argv, "--steps", "100", "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 def test_reference_meta_records_budget_and_convergence(tmp_path):
@@ -197,7 +280,7 @@ def test_reference_meta_records_budget_and_convergence(tmp_path):
                                          out=str(tmp_path / "sioux")))
     meta = json.loads(read(sioux / "meta.json"))
     assert (meta["outer_iters"], meta["converged"]) == (3, False)
-    assert load_reference(sioux).converged is False
+    assert meta["converged"] is False
 
 
 def test_cmd_sweep_k_k1_row_matches_semisgd_final(tmp_path):
@@ -270,6 +353,12 @@ def test_malformed_int_list_is_a_config_error(tmp_path, capsys, argv):
     {"seeds": "0,1"},
     {"network": 3},
     [{"env": "toy"}],
+    # NaN and Infinity parse as floats but fail the range checks
+    {"inverse_temperature": float("nan")},
+    {"inverse_temperature": float("inf")},
+    {"ball_radius": float("nan")},
+    {"schedule_b": float("nan")},
+    {"schedule_b": float("inf")},
 ])
 def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, config):
     path = tmp_path / "c.json"
@@ -321,6 +410,24 @@ def test_unknown_algorithm_in_a_config_is_a_config_error_for_every_subcommand(tm
         out = tmp_path / argv[0]
         assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["run", "--env", "toy", "--seeds=-1"], {}),
+    (["run", "--env", "toy", "--seed-offset=-1"], {}),
+    (["sweep-k", "--env", "toy", "--k-list", "1", "--seeds=-1"], {}),
+    (["sweep-k", "--env", "toy", "--k-list", "1"], {"seed_offset": -1}),
+    (["compare-lfa", "--env", "ring-road", "--d2-list", "5", "--seeds=-1"], {}),
+    (["compare-lfa", "--env", "ring-road", "--d2-list", "5", "--seed-offset=-1"], {}),
+    (["reference", "--env", "toy"], {"toy_seed": -1}),
+])
+def test_negative_seed_is_a_config_error_that_leaves_nothing(tmp_path, capsys, argv, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"steps": 100, **config}))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["toy_states", "toy_actions"])
@@ -383,7 +490,7 @@ def test_compare_lfa_discretization_identity_at_native_resolution(
     # coarsening to the reference granularity is a plain tabular run
     from dataclasses import replace
 
-    from mfglearn.cli import cmd_compare_lfa, load_reference, make_run_config
+    from mfglearn.cli import cmd_compare_lfa, make_run_config
     from mfglearn.envs import ring_road_env
     from mfglearn.learners import run_semisgd
 
@@ -400,27 +507,27 @@ def test_compare_lfa_discretization_identity_at_native_resolution(
     got_mean = float(row.split(",")[2])
 
     env = ring_road_env(200)
-    ref = load_reference(ring200_reference_dir)
+    mu_ref = read_floats(ring200_reference_dir / "mu_star.txt")
     run_spec = replace(spec, algorithm="semisgd", env_size=200)
     finals = [
-        run_semisgd(env, make_run_config(run_spec, env, seed), mu_ref=ref.mu_star).mse[-1]
+        run_semisgd(env, make_run_config(run_spec, env, seed), mu_ref=mu_ref).mse[-1]
         for seed in (0, 1)
     ]
     assert got_mean == np.mean(finals)
 
 
 def test_compare_lfa_d2_one_freezes_population(ring200_reference_dir):
-    from mfglearn.cli import load_reference, make_run_config
+    from mfglearn.cli import make_run_config
     from mfglearn.envs import ring_road_env
     from mfglearn.learners import run_semisgd
     from mfglearn.lfa import tan_normal_basis
 
     env = ring_road_env(200)
-    ref = load_reference(ring200_reference_dir)
+    mu_ref = read_floats(ring200_reference_dir / "mu_star.txt")
     basis = tan_normal_basis(env.states, 1)
     spec = ExperimentSpec(env="ring-road", env_size=200, steps=400, alpha=1e-3,
                           seeds=(0,), cadence=100, expl_every=None, out="unused")
-    rec = run_semisgd(env, make_run_config(spec, env, 0), basis=basis, mu_ref=ref.mu_star)
+    rec = run_semisgd(env, make_run_config(spec, env, 0), basis=basis, mu_ref=mu_ref)
     np.testing.assert_array_equal(rec.final.eta, [1.0])
     assert np.all(rec.mse == rec.mse[0])
 
@@ -435,6 +542,22 @@ def test_cmd_run_with_tan_normal_basis(tmp_path):
     lines = read(out / "run_seed0.csv").splitlines()
     assert len(lines) == 1 + 4
     assert all(np.isfinite(float(line.split(",")[1])) for line in lines[1:])
+
+
+@pytest.mark.parametrize("config", [
+    {"basis_c": float("nan")},
+    {"basis_c": float("inf")},
+    {"basis_v": float("nan")},
+    {"basis_v": float("inf")},
+])
+def test_non_finite_tan_normal_basis_is_a_config_error(tmp_path, capsys, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"basis": "tan-normal", **config}))
+    out = tmp_path / "out"
+    assert main(["run", "--env", "ring-road", "--steps", "100", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tan_normal_basis_rejected_for_graph_envs(tmp_path):
@@ -468,7 +591,7 @@ def test_sweep_k_computes_exploitability_only_where_written(tmp_path, monkeypatc
     ref_dir = cmd_reference(toy_spec(tmp_path / "ref"))
     spec = toy_spec(tmp_path / "sweep", expl_every=100, reference=str(ref_dir))
     env = build_env(spec)
-    mu_ref = load_reference(ref_dir).mu_star
+    mu_ref = read_floats(ref_dir / "mu_star.txt")
     k_list = [1, 20]
     # the final exploitability of runs snapshotting every expl_every steps
     want = []
