@@ -174,6 +174,9 @@ def make_run_config(spec: ExperimentSpec, env: EnvironmentModel, seed: int) -> R
 # ---------------------------------------------------------------------------
 
 
+_CHUNK = 4096  # values per write of a reference file
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -182,6 +185,16 @@ def _write_csv(path: Path, header: List[str], rows: List[List[str]]):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_values(path: Path, values: np.ndarray) -> None:
+    """One ``_fmt`` line per value of ``values`` in C order, joined and
+    written in chunks of ``_CHUNK`` values, so no text of the whole array
+    is ever held."""
+    flat = values.ravel()
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        for lo in range(0, flat.size, _CHUNK):
+            fh.write("".join(_fmt(x) + "\n" for x in flat[lo:lo + _CHUNK].tolist()))
 
 
 def _check_finite(values) -> None:
@@ -200,12 +213,8 @@ def write_reference(out_dir: Path, env: EnvironmentModel, ref: ReferenceSolution
         for i, v in zip(ref.expl_iterations, ref.expl_trace)
     ]
     _write_csv(out_dir / "reference.csv", ["iteration", "exploitability"], rows)
-    (out_dir / "mu_star.txt").write_text(
-        "".join(_fmt(x) + "\n" for x in ref.mu_star), encoding="utf-8", newline="\n"
-    )
-    (out_dir / "q_star.txt").write_text(
-        "".join(_fmt(x) + "\n" for x in ref.q_star.ravel()), encoding="utf-8", newline="\n"
-    )
+    _write_values(out_dir / "mu_star.txt", ref.mu_star)
+    _write_values(out_dir / "q_star.txt", ref.q_star)
     meta = {
         "env": env.name,
         "n_states": env.n_states,
@@ -226,15 +235,20 @@ def ensure_reference(
     """The reference population mu*: the ``mu_star.txt`` of the ``reference``
     directory, one finite mass per state, whose ``meta.json`` must name this
     environment and ``reference_outer_iters`` (one without a budget does
-    not); else solved and written to ``out_dir/reference``."""
+    not, and one that is not a JSON object with ``env`` and ``n_states`` is
+    a ``ConfigError``); else solved and written to ``out_dir/reference``."""
     outer_iters = spec.reference_outer_iters
     if spec.reference is None:
         ref = model_based_fpi_fp(env, outer_iters=outer_iters)
         write_reference(out_dir / "reference", env, ref)
         return ref.mu_star
     ref_dir = Path(spec.reference)
-    meta = json.loads((ref_dir / "meta.json").read_text(encoding="utf-8"))
-    solved_for = meta["env"], meta["n_states"], meta.get("outer_iters")
+    meta_path = ref_dir / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        solved_for = meta["env"], meta["n_states"], meta.get("outer_iters")
+    except (ValueError, KeyError, TypeError):  # not JSON, not an object, a key missing
+        raise ConfigError(f"{meta_path} is not the meta.json of a reference") from None
     if solved_for != (env.name, env.n_states, outer_iters):
         raise ConfigError(
             f"reference {ref_dir} was not solved for {env.name} "

@@ -51,6 +51,8 @@ class EnvironmentModel:
     walks the support row in its stored order, so the order of the m
     successors fixes which successor each uniform draw selects.  A support
     with m = 1 is deterministic and its draw consumes no random number.
+    An array returned on every call is built once, C-contiguous and
+    read-only, so no caller can change the game for the others.
 
     ``gamma``, in [0, 1), is the one discount that the learners, the
     reference solver and the metrics all read.
@@ -125,18 +127,21 @@ def _grid_kernel_support(size: int, delta: float):
     Action a moves a*delta cells per step of length delta, rounded
     stochastically: the successors are ordered [+1 cell, base shift] with
     probabilities [frac, 1 - frac], so a draw u < frac moves one cell
-    further.
+    further.  Both arrays are filled in place, C-contiguous and read-only.
     """
     # cells moved: speed a*delta times dt = delta over cells of width delta
     disp = np.arange(size) * delta * delta / delta
     lo = np.floor(disp).astype(np.int64)
     frac = disp - lo
-    s = np.arange(size)[:, None]
-    base = (s + lo[None, :]) % size
-    carry = (s + lo[None, :] + 1) % size
-    idx = np.stack([carry, base], axis=-1)
-    p1 = np.broadcast_to(frac[None, :], (size, size))
-    probs = np.stack([p1, 1.0 - p1], axis=-1)
+    idx = np.empty((size, size, 2), dtype=np.int64)
+    idx[..., 0] = lo + 1
+    idx[..., 1] = lo
+    idx += np.arange(size)[:, None, None]
+    idx %= size
+    probs = np.empty((size, size, 2))
+    probs[..., 0] = frac
+    probs[..., 1] = 1.0 - frac
+    idx.flags.writeable = probs.flags.writeable = False
 
     def kernel_support(mu):
         return idx, probs
@@ -358,8 +363,9 @@ def sioux_falls_env(path=None) -> EnvironmentModel:
     def reward(s, a, mu):
         return congestion[s] * mu[s] * mu[s] - restart_loss[s]
 
-    idx_cache = np.broadcast_to(np.arange(n_e)[None, :, None], (n_e, n_e, 1))
+    idx_cache = np.broadcast_to(np.arange(n_e)[None, :, None], (n_e, n_e, 1)).copy()
     prob_cache = np.ones((n_e, n_e, 1))
+    idx_cache.flags.writeable = prob_cache.flags.writeable = False
 
     def kernel_support(mu):
         return idx_cache, prob_cache
@@ -435,7 +441,8 @@ def toy_finite_env(
 
     idx_cache = np.broadcast_to(
         np.arange(n_states)[None, None, :], (n_states, n_actions, n_states)
-    )
+    ).copy()
+    idx_cache.flags.writeable = False
 
     kept = (1.0 - eps) * p0  # the population-free part, built once
 

@@ -39,20 +39,43 @@ class MetricsError(RuntimeError):
         self.residual = residual
 
 
-def _dense_rows(idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(S, S) matrix holding the sum of w[s, ...] at [s, idx[s, ...]].
+def _dense_rows(rows: np.ndarray, idx: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """(n, n) matrix holding the sum of w[i, j] at [rows[i], idx[i, j]].
 
-    Adds the weights in C order from zero, the order ``np.add.at`` uses.
+    Adds the weights in C order from +0.0, the order ``np.add.at`` uses.
     """
-    n = idx.shape[0]
-    flat = (idx.reshape(n, -1) + n * np.arange(n)[:, None]).ravel()
-    return np.bincount(flat, weights=w.ravel(), minlength=n * n).reshape(n, n)
+    flat = idx + n * rows[:, None]
+    return np.bincount(flat.ravel(), weights=w.ravel(), minlength=n * n).reshape(n, n)
+
+
+def _eye_minus(gamma: float, p: np.ndarray) -> np.ndarray:
+    """I - gamma p, built in p with the bits of ``np.eye(n) - gamma * p``:
+    -(gamma p) is exact, adding +0.0 turns its -0.0 entries into the +0.0
+    of 0.0 - 0.0, and adding 1.0 to the diagonal gives 1.0 - gamma p there."""
+    p *= -gamma
+    p += 0.0
+    p.flat[:: p.shape[0] + 1] += 1.0
+    return p
 
 
 def dense_policy_kernel(pi: np.ndarray, env: EnvironmentModel, mu: np.ndarray) -> np.ndarray:
-    """Dense state-to-state kernel P_pi[s, s'] under policy pi at population mu."""
+    """Dense state-to-state kernel P_pi[s, s'] under policy pi at population mu.
+
+    When fewer than half of pi's (s, a) pairs carry mass, only those pairs
+    are gathered and added.  A bin then misses only zero weights, and adding a
+    zero to a sum that starts at +0.0 changes no bit, so both ways give the
+    same matrix.
+    """
     idx, probs = env.kernel_support(mu)
-    return _dense_rows(idx, pi[:, :, None] * probs)
+    n, m = idx.shape[0], idx.shape[-1]
+    mass = pi.reshape(-1) != 0.0  # a boolean scan is several times cheaper than a float one
+    if 2 * np.count_nonzero(mass) >= mass.size:
+        w = pi[:, :, None] * probs
+        return _dense_rows(np.arange(n), idx.reshape(n, -1), w.reshape(n, -1), n)
+    pairs = np.flatnonzero(mass)
+    w = probs.reshape(-1, m)[pairs]
+    w *= pi.reshape(-1)[pairs, None]
+    return _dense_rows(pairs // pi.shape[1], idx.reshape(-1, m)[pairs], w, n)
 
 
 def _stationary_of_dense(p: np.ndarray) -> np.ndarray:
@@ -63,7 +86,9 @@ def _stationary_of_dense(p: np.ndarray) -> np.ndarray:
     steps, and the result is normalised to sum one.
     """
     n = p.shape[0]
-    pd = 0.5 * (np.eye(n) + p)
+    pd = np.eye(n)
+    pd += p
+    pd *= 0.5
     residual = float("nan")
     for _ in range(64):
         pd = pd @ pd
@@ -149,6 +174,8 @@ def value_iteration(env: EnvironmentModel, mu_fixed: np.ndarray):
     reward, each step evaluates the current deterministic policy exactly,
     by solving (I - gamma P) v = r with P built from the chosen action's
     ``kernel_support`` row alone, and backs Q up with ``_expected_next``.
+    I - gamma P is built inside P by ``_eye_minus``, and Q inside the
+    expectation as gamma E + r; both are the doubles of the plain formulas.
     A state switches action only when its best Q exceeds the current one
     by more than ``_PI_SLACK`` * R / (1 - gamma), so rounding ties cannot
     make the iteration cycle.  V is the value of the last policy, within
@@ -164,9 +191,12 @@ def value_iteration(env: EnvironmentModel, mu_fixed: np.ndarray):
     slack = _PI_SLACK * _value_scale(env)
     actions = _greedy_actions(r, mask)
     for _ in range(_MAX_POLICY_STEPS):
-        p = _dense_rows(idx[states, actions], probs[states, actions])
-        v = np.linalg.solve(np.eye(env.n_states) - env.gamma * p, r[states, actions])
-        q = r + env.gamma * _expected_next(idx, probs, v)
+        p = _dense_rows(states, idx[states, actions], probs[states, actions], env.n_states)
+        v = np.linalg.solve(_eye_minus(env.gamma, p), r[states, actions])
+        del p  # freed before the backup gathers an (S, A, m) array
+        q = _expected_next(idx, probs, v)
+        q *= env.gamma
+        q += r
         best = _greedy_actions(q, mask)
         improve = q[states, best] > q[states, actions] + slack
         if not improve.any():
@@ -179,11 +209,11 @@ def value_iteration(env: EnvironmentModel, mu_fixed: np.ndarray):
 
 def policy_evaluation(env: EnvironmentModel, pi: np.ndarray, mu_fixed: np.ndarray) -> np.ndarray:
     """Exact value of policy pi on the MDP frozen at mu_fixed: the solution
-    of (I - gamma P_pi) v = r_pi, P_pi from ``dense_policy_kernel``."""
+    of (I - gamma P_pi) v = r_pi, P_pi from ``dense_policy_kernel``, with
+    I - gamma P_pi built inside P_pi by ``_eye_minus``."""
     mu_fixed = np.asarray(mu_fixed, dtype=np.float64)
     r_pi = (pi * env.reward_matrix(mu_fixed)).sum(axis=1)
-    p_pi = dense_policy_kernel(pi, env, mu_fixed)
-    return np.linalg.solve(np.eye(env.n_states) - env.gamma * p_pi, r_pi)
+    return np.linalg.solve(_eye_minus(env.gamma, dense_policy_kernel(pi, env, mu_fixed)), r_pi)
 
 
 def _exploitability_at(pi: np.ndarray, env: EnvironmentModel, mu_pi: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -21,8 +22,8 @@ class PolicyOperator:
     def __post_init__(self):
         if self.kind not in ("softmax", "argmax"):
             raise ConfigError(f"unknown policy operator {self.kind!r}")
-        if self.kind == "softmax" and self.inverse_temperature <= 0:
-            raise ConfigError("softmax inverse temperature must be positive")
+        if self.kind == "softmax" and not 0.0 < self.inverse_temperature < math.inf:
+            raise ConfigError("softmax inverse temperature must be finite and positive")
 
 
 def softmax_operator(inverse_temperature: float) -> PolicyOperator:

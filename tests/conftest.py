@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,13 +32,58 @@ def ring50_reference(ring50):
 
 
 @pytest.fixture(scope="session")
-def ring200_reference_dir(tmp_path_factory):
-    """200-cell speed-control reference, cached on disk for CLI reuse."""
+def ring200_reference():
+    """The 200-cell speed-control game and its reference solution."""
     env = ring_road_env(200)
-    ref = model_based_fpi_fp(env, expl_every=None)
+    return env, model_based_fpi_fp(env, expl_every=None)
+
+
+@pytest.fixture(scope="session")
+def ring200_reference_dir(tmp_path_factory, ring200_reference):
+    """200-cell speed-control reference, cached on disk for CLI reuse."""
     out = tmp_path_factory.mktemp("ring200_reference")
-    write_reference(out, env, ref)
+    write_reference(out, *ring200_reference)
     return out
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc traced while it ran
+    above what was traced before the call)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def write_values_oracle(path, values: np.ndarray) -> None:
+    """Frozen copy of how ``write_reference`` wrote ``mu_star.txt`` and
+    ``q_star.txt`` before it wrote them in chunks: the text of the whole
+    array joined at once.  Its bytes are the contract of the current one."""
+    path.write_text("".join(repr(float(x)) + "\n" for x in values.ravel()),
+                    encoding="utf-8", newline="\n")
+
+
+def grid_support_oracle(size: int, delta: float):
+    """Frozen copy of the shift grid's ``kernel_support`` arrays as they were
+    built from ``np.stack`` of broadcast temporaries; its bytes are the
+    contract of the in-place construction."""
+    disp = np.arange(size) * delta * delta / delta
+    lo = np.floor(disp).astype(np.int64)
+    frac = disp - lo
+    s = np.arange(size)[:, None]
+    base = (s + lo[None, :]) % size
+    carry = (s + lo[None, :] + 1) % size
+    idx = np.stack([carry, base], axis=-1)
+    p1 = np.broadcast_to(frac[None, :], (size, size))
+    probs = np.stack([p1, 1.0 - p1], axis=-1)
+    return idx, probs
 
 
 def kernel_row(env, s: int, a: int, mu: np.ndarray) -> np.ndarray:

@@ -19,6 +19,10 @@ from mfglearn.cli import (
     spec_from_config,
 )
 from mfglearn.core import ConfigError
+from mfglearn.envs import ring_road_env
+from mfglearn.learners import ReferenceSolution
+
+from .conftest import traced_peak, write_values_oracle
 
 
 def toy_spec(out, **kwargs):
@@ -249,6 +253,53 @@ def test_explicit_mu_star_of_the_wrong_length_or_not_finite_is_a_config_error(
     assert main(["run", "--env", "toy", "--config", str(config), "--out", str(out)]) == 2
     assert "does not hold 3 finite masses" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("meta", [
+    "not json",
+    "[]",
+    "{}",
+    '{"env": "toy-3x2-seed7", "outer_iters": 50}',
+], ids=["not-json", "a-list", "empty-object", "no-n-states"])
+def test_malformed_explicit_meta_is_a_config_error(tmp_path, capsys, meta):
+    ref_dir = cmd_reference(toy_spec(tmp_path / "ref"))
+    (ref_dir / "meta.json").write_text(meta, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reference": str(ref_dir), "reference_outer_iters": 50,
+                                  "steps": 200, "seeds": [0]}))
+    out = tmp_path / "out"
+    assert main(["run", "--env", "toy", "--config", str(config), "--out", str(out)]) == 2
+    assert "is not the meta.json of a reference" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reference_files_written_in_chunks_match_the_joined_text(tmp_path):
+    # q_star spans three chunks; the extreme values and signed zeros sit on
+    # chunk edges
+    env = ring_road_env(100)
+    rng = np.random.default_rng(4)
+    q = rng.standard_normal(env.n_states * env.n_actions)
+    q *= 10.0 ** rng.integers(-300, 300, q.size)
+    q[[0, cli._CHUNK - 1, cli._CHUNK, 2 * cli._CHUNK - 1, 2 * cli._CHUNK, -1]] = [
+        -0.0, 5e-324, 1e308, 0.1, -1e308, 0.0]
+    assert q.size > 2 * cli._CHUNK
+    mu = rng.dirichlet(np.ones(env.n_states))
+    mu[:4] = [-0.0, 5e-324, 0.1, 0.0]
+    ref = ReferenceSolution(
+        q_star=q.reshape(env.n_states, env.n_actions), mu_star=mu, iterations=1,
+        final_exploitability=0.0, outer_iters=1, converged=True,
+        expl_iterations=np.array([0]), expl_trace=np.array([0.0]))
+    cli.write_reference(tmp_path / "chunked", env, ref)
+    for name, values in (("mu_star.txt", mu), ("q_star.txt", q)):
+        write_values_oracle(tmp_path / name, values)
+        assert (tmp_path / "chunked" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_write_reference_of_ring_road_200_peaks_below_one_mb(tmp_path, ring200_reference):
+    # a memory gate: the text of all 40,000 values of q_star is never held
+    # at once (one join of it traces 4.3 MB)
+    _, peak = traced_peak(cli.write_reference, tmp_path, *ring200_reference)
+    assert peak < 1_000_000
 
 
 def test_a_reference_that_cannot_be_read_or_solved_leaves_nothing(tmp_path, monkeypatch):

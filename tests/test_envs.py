@@ -8,6 +8,7 @@ from mfglearn.core import ConfigError
 from mfglearn.envs import (
     EnvironmentModel,
     NetworkLoadError,
+    _grid_kernel_support,
     flocking_env,
     ring_road_env,
     sioux_falls_env,
@@ -15,7 +16,7 @@ from mfglearn.envs import (
 )
 from mfglearn.metrics import dense_policy_kernel
 
-from .conftest import FixedDraws, kernel_row
+from .conftest import FixedDraws, grid_support_oracle, kernel_row, traced_peak
 
 
 def eigen_stationary(p):
@@ -508,3 +509,59 @@ def test_replace_swaps_in_the_model_callables(make_env):
     for got, want in zip(swapped.kernel_support(mu), env.kernel_support(mu)):
         assert got.tobytes() == want.tobytes()
     assert sorted(set(calls)) == sorted(MODEL_CALLABLES)
+
+
+# -- kernel support arrays ------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 50, 200])
+def test_grid_support_matches_the_stack_construction(size):
+    idx, probs = _grid_kernel_support(size, 1.0 / size)(None)
+    want_idx, want_probs = grid_support_oracle(size, 1.0 / size)
+    for got, want in ((idx, want_idx), (probs, want_probs)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make_env",
+    [
+        lambda: toy_finite_env(3, 2, seed=7),
+        lambda: ring_road_env(50),
+        lambda: ring_road_env(200),
+        lambda: flocking_env(50),
+        sioux_falls_env,
+    ],
+    ids=["toy-3x2-seed7", "ring-road-50", "ring-road-200", "flocking-50", "sioux-falls"],
+)
+def test_kernel_support_arrays_are_contiguous_without_zero_strides(make_env):
+    env = make_env()
+    for arr in env.kernel_support(env.initial_state):
+        assert arr.flags.c_contiguous
+        assert 0 not in arr.strides
+
+
+@pytest.mark.parametrize("make_env, n_cached", [
+    (lambda: ring_road_env(20), 2),
+    (lambda: flocking_env(20), 2),
+    (sioux_falls_env, 2),
+    (lambda: toy_finite_env(3, 2, seed=7), 1),  # its probabilities follow mu
+], ids=["ring-road-20", "flocking-20", "sioux-falls", "toy-3x2-seed7"])
+def test_cached_kernel_support_arrays_are_read_only(make_env, n_cached):
+    # the arrays every call returns are one object: a write would change the
+    # game for every later caller
+    env = make_env()
+    first = env.kernel_support(env.initial_state)
+    second = env.kernel_support(np.roll(env.initial_state, 1))
+    cached = [arr for arr, again in zip(first, second) if arr is again]
+    assert len(cached) == n_cached
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 0
+
+
+def test_ring_road_200_build_peaks_within_ten_percent_of_its_supports():
+    # a memory gate: the build makes no temporary of the supports' size
+    env, peak = traced_peak(ring_road_env, 200)
+    idx, probs = env.kernel_support(env.initial_state)
+    assert peak <= 1.1 * (idx.nbytes + probs.nbytes)

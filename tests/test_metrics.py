@@ -20,6 +20,7 @@ from mfglearn import metrics
 from mfglearn.metrics import (
     MetricsError,
     _expected_next,
+    _eye_minus,
     dense_policy_kernel,
     exploitability,
     induced_population,
@@ -404,14 +405,29 @@ def test_dense_policy_kernel_bit_identical_to_add_at(name):
     env = SHIPPED_ENVS[name]()
     rng = np.random.default_rng(8)
     n = env.n_states
-    for pi in (rng.dirichlet(np.ones(env.n_actions), size=n),
-               np.eye(env.n_actions)[rng.integers(0, env.n_actions, n)]):
+    dense = rng.dirichlet(np.ones(env.n_actions), size=n)
+    one_hot = np.eye(env.n_actions)[rng.integers(0, env.n_actions, n)]
+    # mixed: one-hot and dense rows, some entries exact zeros of either sign
+    mixed = np.where((rng.random(n) < 0.5)[:, None], one_hot, dense)
+    mixed[rng.random(mixed.shape) < 0.2] = 0.0
+    mixed[rng.random(mixed.shape) < 0.1] = -0.0
+    for pi in (dense, one_hot, mixed, np.zeros_like(dense)):
         mu = rng.dirichlet(np.ones(n))
         idx, probs = env.kernel_support(mu)
         expected = np.zeros((n, n))
         rows = np.broadcast_to(np.arange(n)[:, None, None], idx.shape)
         np.add.at(expected, (rows.ravel(), idx.ravel()), (pi[:, :, None] * probs).ravel())
         np.testing.assert_array_equal(bits(dense_policy_kernel(pi, env, mu)), bits(expected))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.995])
+def test_eye_minus_in_place_has_the_bits_of_the_formula(gamma):
+    rng = np.random.default_rng(12)
+    p = rng.dirichlet(np.ones(7), size=7)
+    p[rng.random(p.shape) < 0.4] = 0.0
+    p[0, 0] = p[3, 3] = 0.0
+    want = np.eye(7) - gamma * p
+    np.testing.assert_array_equal(bits(_eye_minus(gamma, p)), bits(want))
 
 
 def test_expected_next_wide_support_agrees_to_rounding():

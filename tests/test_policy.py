@@ -104,6 +104,13 @@ def test_operator_validation():
         softmax_operator(0.0)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+def test_softmax_inverse_temperature_must_be_finite(beta):
+    with pytest.raises(ConfigError, match="finite and positive"):
+        softmax_operator(beta)
+    assert argmax_operator().kind == "argmax"
+
+
 BETAS = (1e2, 1e3, 1e6, 1e9)
 
 
