@@ -43,9 +43,10 @@ def _dense_rows(rows: np.ndarray, idx: np.ndarray, w: np.ndarray, n: int) -> np.
     """(n, n) matrix holding the sum of w[i, j] at [rows[i], idx[i, j]].
 
     Adds the weights in C order from +0.0, the order ``np.add.at`` uses.
+    idx must be a fresh gather: it is overwritten with the flat positions.
     """
-    flat = idx + n * rows[:, None]
-    return np.bincount(flat.ravel(), weights=w.ravel(), minlength=n * n).reshape(n, n)
+    idx += n * rows[:, None]
+    return np.bincount(idx.ravel(), weights=w.ravel(), minlength=n * n).reshape(n, n)
 
 
 def _eye_minus(gamma: float, p: np.ndarray) -> np.ndarray:
@@ -61,21 +62,19 @@ def _eye_minus(gamma: float, p: np.ndarray) -> np.ndarray:
 def dense_policy_kernel(pi: np.ndarray, env: EnvironmentModel, mu: np.ndarray) -> np.ndarray:
     """Dense state-to-state kernel P_pi[s, s'] under policy pi at population mu.
 
-    When fewer than half of pi's (s, a) pairs carry mass, only those pairs
-    are gathered and added.  A bin then misses only zero weights, and adding a
-    zero to a sum that starts at +0.0 changes no bit, so both ways give the
-    same matrix.
+    Only the (s, a) pairs that carry mass are gathered and added.  A bin
+    misses only zero weights, and adding a zero to a sum that starts at +0.0
+    changes no bit, so the matrix is the one all S * A pairs give.  Rows are
+    gathered with ``take``, several times faster than fancy indexing here.
     """
     idx, probs = env.kernel_support(mu)
-    n, m = idx.shape[0], idx.shape[-1]
-    mass = pi.reshape(-1) != 0.0  # a boolean scan is several times cheaper than a float one
-    if 2 * np.count_nonzero(mass) >= mass.size:
-        w = pi[:, :, None] * probs
-        return _dense_rows(np.arange(n), idx.reshape(n, -1), w.reshape(n, -1), n)
-    pairs = np.flatnonzero(mass)
-    w = probs.reshape(-1, m)[pairs]
-    w *= pi.reshape(-1)[pairs, None]
-    return _dense_rows(pairs // pi.shape[1], idx.reshape(-1, m)[pairs], w, n)
+    m = idx.shape[-1]
+    pairs = np.flatnonzero(pi.reshape(-1) != 0.0)  # a boolean scan is cheaper than a float one
+    w = probs.reshape(-1, m).take(pairs, axis=0)
+    w *= pi.reshape(-1).take(pairs)[:, None]
+    succ = idx.reshape(-1, m).take(pairs, axis=0)
+    pairs //= pi.shape[1]  # now the state of each pair
+    return _dense_rows(pairs, succ, w, idx.shape[0])
 
 
 def _stationary_of_dense(p: np.ndarray) -> np.ndarray:
