@@ -106,6 +106,21 @@ class ExperimentSpec:
         return DEFAULT_INVERSE_TEMPERATURE[self.env]
 
 
+# The ExperimentSpec fields each subcommand reads: its flags and the config
+# keys it accepts come from its row, and any other key is a ConfigError.
+_ALL_KEYS = tuple(ExperimentSpec.__dataclass_fields__)
+SUBCOMMAND_KEYS = {
+    "reference": ("env", "out", "env_size", "network", "toy_states", "toy_actions",
+                  "toy_seed", "reference_outer_iters"),
+    "run": _ALL_KEYS,
+    # --k-list sets inner_k, and sweep_k.csv reads only each run's last snapshot
+    "sweep-k": tuple(k for k in _ALL_KEYS if k not in ("inner_k", "cadence")),
+    "compare-lfa": ("env", "out", "steps", "alpha", "schedule_b", "inverse_temperature",
+                    "ball_radius", "seeds", "seed_offset", "basis_c", "basis_v",
+                    "reference", "reference_outer_iters"),
+}
+
+
 def _has_type(value, hint) -> bool:
     """Whether a config value has the type of a spec field: an int field
     takes no float or bool, a float field takes an int, an Optional field
@@ -119,16 +134,16 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def spec_from_config(config: dict, **overrides) -> ExperimentSpec:
-    """Build a spec from a config object, each override over its key; a
-    malformed config is a ConfigError."""
+def spec_from_config(config: dict, command: str = "run", **overrides) -> ExperimentSpec:
+    """The spec of ``command`` from a config object, each override over its
+    key; a key outside its ``SUBCOMMAND_KEYS`` row is a ConfigError."""
     if not isinstance(config, dict):
         raise ConfigError("a config must be a JSON object")
     config = {**config, **overrides}
+    unread = set(config) - set(SUBCOMMAND_KEYS[command])
+    if unread:
+        raise ConfigError(f"{command} does not read the config keys {sorted(unread)}")
     hints = get_type_hints(ExperimentSpec)
-    unknown = set(config) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in config.items():
         if not _has_type(value, hints[key]):
             raise ConfigError(f"config key {key!r} cannot be {value!r}")
@@ -396,24 +411,29 @@ def cmd_run(spec: ExperimentSpec) -> Path:
     return out_dir
 
 
+def _check_sweep_list(values: List[int], name: str, top: int) -> None:
+    """A sweep list holds distinct values in [1, top]: a repeated value
+    would run its runs twice and write its row twice."""
+    if not values or len(set(values)) < len(values) or not all(1 <= v <= top for v in values):
+        raise ConfigError(f"the {name} list {values} must hold distinct values in [1, {top}]")
+
+
 def cmd_sweep_k(spec: ExperimentSpec, k_list: List[int]) -> Path:
     """Fixed total budget T, one row per K: K, then the ``_summary_row`` of
     the seeds' final snapshots (mean and std of MSE and exploitability).
 
     The seeds of one K stream through ``_run_seeds``, one finished record
-    held at a time.  Only the final exploitability of each run reaches
-    ``sweep_k.csv``, and only when T is a multiple of ``expl_every``; each
-    run then computes it at t = 0 and t = T alone (``expl_every = T``), and
-    otherwise not at all, leaving both exploitability cells blank.  A K
-    outside [1, T] fails in ``RunConfig`` while the configs are built,
-    before a reference is solved or a directory made.
+    held at a time.  ``sweep_k.csv`` reads only each run's last snapshot,
+    so runs snapshot at t = 0 and t = T alone, and take exploitability at
+    both when T is a multiple of ``expl_every``, else nowhere, leaving both
+    exploitability cells blank.  A K outside [1, T] is a config error before
+    a reference is solved or a directory made.
     """
-    if not k_list:
-        raise ConfigError("sweep-k needs a non-empty K list")
-    if spec.algorithm == "semisgd":
-        spec = replace(spec, algorithm="fpi-vanilla")
+    _check_sweep_list(k_list, "K", spec.steps)
+    algorithm = "fpi-vanilla" if spec.algorithm == "semisgd" else spec.algorithm
     written = spec.expl_every is not None and spec.steps % spec.expl_every == 0
-    spec = replace(spec, expl_every=spec.steps if written else None)
+    spec = replace(spec, algorithm=algorithm, cadence=spec.steps,
+                   expl_every=spec.steps if written else None)
     env = build_env(spec)
     sweep = [(k, _run_configs(replace(spec, inner_k=int(k)), env)) for k in k_list]
     basis = _spec_basis(spec, env)
@@ -435,30 +455,22 @@ def cmd_sweep_k(spec: ExperimentSpec, k_list: List[int]) -> Path:
 def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
     """Population-aware LFA versus grid discretization on speed control.
 
-    For each d2, runs SemiSGD (a) on the ring road coarsened to d2 cells and
-    (b) on the reference-granularity ring road with a d2-dimensional
-    tan-normal measure basis; final MSE is measured against the
-    reference-grid equilibrium in both arms.  ``compare_lfa.csv`` has no
-    exploitability column, so the runs compute none (``expl_every = None``).
+    For each d2, runs the spec's algorithm, SemiSGD as compare-lfa reads no
+    ``algorithm`` key, (a) on the ring road coarsened to d2 cells and (b) on
+    the ring road of ``COMPARE_LFA_GRID`` cells with a d2-dimensional
+    tan-normal measure basis; final MSE is measured against the finer
+    road's equilibrium in both arms.  ``compare_lfa.csv`` reads only each
+    run's last MSE, so the runs snapshot at t = 0 and t = T alone.
     """
-    if not d2_list:
-        raise ConfigError("compare-lfa needs a non-empty d2 list")
+    _check_sweep_list(d2_list, "d2", COMPARE_LFA_GRID)
     if spec.env != "ring-road":
         raise ConfigError("compare-lfa is defined on the ring-road environment")
-    for d2 in d2_list:
-        if not (1 <= d2 <= COMPARE_LFA_GRID):
-            raise ConfigError(f"d2 = {d2} must lie in [1, {COMPARE_LFA_GRID}]")
     if spec.steps > COMPARE_LFA_STEPS:
         print(f"compare-lfa: {spec.steps} steps asked for; each run takes "
               f"{COMPARE_LFA_STEPS} steps, the compare-lfa cap", file=sys.stderr)
-    spec = replace(
-        spec,
-        algorithm="semisgd",
-        env_size=COMPARE_LFA_GRID,
-        steps=min(spec.steps, COMPARE_LFA_STEPS),
-        expl_every=None,
-    )
-    env_fine = build_env(spec)
+    steps = min(spec.steps, COMPARE_LFA_STEPS)
+    spec = replace(spec, steps=steps, cadence=max(steps, 1), expl_every=None)
+    env_fine = ring_road_env(COMPARE_LFA_GRID)
     fine_cfgs = _run_configs(spec, env_fine)
     coarse = [ring_road_env(int(d2)) for d2 in d2_list]
     coarse_cfgs = [_run_configs(spec, env) for env in coarse]
@@ -495,36 +507,39 @@ def _int_list(raw: str) -> List[int]:
         raise ConfigError(f"not a comma-separated list of integers: {raw!r}") from None
 
 
+# the flag of each ExperimentSpec field that has one; its dest is the field
+_FLAGS = {
+    "out": ("--out", {"help": "output directory"}),
+    "env": ("--env", {"choices": ENV_TAGS}),
+    "steps": ("--steps", {"type": int}),
+    "alpha": ("--alpha", {"type": float}),
+    "seeds": ("--seeds", {"help": "comma-separated seeds"}),
+    "seed_offset": ("--seed-offset", {"type": int}),
+    "algorithm": ("--algo", {"help": " | ".join(ALGORITHMS)}),
+    "expl_every": ("--no-exploitability", {"action": "store_const", "const": None}),
+    "inner_k": ("--inner-k", {"type": int}),
+    "cadence": ("--cadence", {"type": int}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes the flags it reads.  A flag's dest is the
-    ``ExperimentSpec`` field it sets, and a flag not given sets nothing."""
+    """Each subcommand takes ``--config``, the flags of its ``SUBCOMMAND_KEYS``
+    row and its sweep list.  A flag not given sets nothing."""
     parser = argparse.ArgumentParser(
         prog="mfglearn",
         description="Mean field game learning: SemiSGD, online FPI baselines, "
         "and a model-based reference solver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    reference, run, sweep, compare = [
-        sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        for name in ("reference", "run", "sweep-k", "compare-lfa")
-    ]
-    for p in (reference, run, sweep, compare):
+    parsers = {}
+    for command, keys in SUBCOMMAND_KEYS.items():
+        p = parsers[command] = sub.add_parser(command, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--env", choices=ENV_TAGS)
-    for p in (run, sweep, compare):
-        p.add_argument("--steps", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--seeds", help="comma-separated seeds")
-        p.add_argument("--seed-offset", type=int)
-    for p in (run, sweep):
-        p.add_argument("--algo", dest="algorithm", help=" | ".join(ALGORITHMS))
-        p.add_argument("--no-exploitability", dest="expl_every",
-                       action="store_const", const=None)
-    run.add_argument("--inner-k", type=int)
-    run.add_argument("--cadence", type=int)
-    sweep.add_argument("--k-list", default="1,10,100,500")
-    compare.add_argument("--d2-list", default="5,20")
+        for key, (flag, kwargs) in _FLAGS.items():
+            if key in keys:
+                p.add_argument(flag, dest=key, **kwargs)
+    parsers["sweep-k"].add_argument("--k-list", default="1,10,100,500")
+    parsers["compare-lfa"].add_argument("--d2-list", default="5,20")
     return parser
 
 
@@ -539,7 +554,7 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     flags = {k: v for k, v in vars(args).items() if k in ExperimentSpec.__dataclass_fields__}
     if "seeds" in flags:
         flags["seeds"] = _int_list(flags["seeds"])
-    return spec_from_config(config, **flags)
+    return spec_from_config(config, args.command, **flags)
 
 
 def main(argv=None) -> int:

@@ -463,6 +463,109 @@ def test_unknown_algorithm_in_a_config_is_a_config_error_for_every_subcommand(tm
         assert not out.exists()
 
 
+# each subcommand with a config key it does not read; compare-lfa's keys hold
+# the values it runs with, so an overridden key is an error even when it agrees
+@pytest.mark.parametrize("argv,config", [
+    (["reference", "--env", "toy"], {"steps": 5}),
+    (["sweep-k", "--env", "toy", "--k-list", "1"], {"inner_k": 10}),
+    (["sweep-k", "--env", "toy", "--k-list", "1"], {"cadence": 10}),
+    (["compare-lfa", "--env", "ring-road", "--d2-list", "5"], {"env_size": 200}),
+    (["compare-lfa", "--env", "ring-road", "--d2-list", "5"], {"algorithm": "semisgd"}),
+    (["compare-lfa", "--env", "ring-road", "--d2-list", "5"], {"expl_every": None}),
+    (["compare-lfa", "--env", "ring-road", "--d2-list", "5"], {"basis_d2": 5}),
+])
+def test_a_config_key_the_subcommand_does_not_read_leaves_nothing(tmp_path, capsys, argv,
+                                                                  config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    (key,) = config
+    assert f"config error: {argv[0]} does not read the config keys ['{key}']" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+# the ExperimentSpec fields each subcommand reads, with a valid value for each
+CONFIG_VALUES = {
+    "env": "ring-road", "env_size": 20, "network": None, "toy_states": 4, "toy_actions": 3,
+    "toy_seed": 1, "algorithm": "fpi-fp", "steps": 300, "alpha": 0.01, "schedule_b": 0.5,
+    "inverse_temperature": 10.0, "inner_k": 30, "ball_radius": 5.0, "seeds": [1, 2],
+    "seed_offset": 3, "cadence": 50, "expl_every": 7, "basis": "tan-normal", "basis_d2": 4,
+    "basis_c": 1.1, "basis_v": 0.5, "reference": "ref", "reference_outer_iters": 9, "out": "o",
+}
+SUBCOMMAND_ROWS = {
+    "reference": {"env", "out", "env_size", "network", "toy_states", "toy_actions", "toy_seed",
+                  "reference_outer_iters"},
+    "run": set(CONFIG_VALUES),
+    "sweep-k": set(CONFIG_VALUES) - {"inner_k", "cadence"},
+    "compare-lfa": {"env", "out", "steps", "alpha", "schedule_b", "inverse_temperature",
+                    "ball_radius", "seeds", "seed_offset", "basis_c", "basis_v", "reference",
+                    "reference_outer_iters"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ROWS))
+def test_a_config_of_every_key_in_a_row_parses(tmp_path, command):
+    assert set(CONFIG_VALUES) == set(ExperimentSpec.__dataclass_fields__)
+    assert set(cli.SUBCOMMAND_KEYS[command]) == SUBCOMMAND_ROWS[command]
+    config = {key: CONFIG_VALUES[key] for key in SUBCOMMAND_ROWS[command]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    spec = cli.spec_from_args(cli.build_parser().parse_args([command, "--config", str(path)]))
+    assert {key: getattr(spec, key) for key in config} == {
+        key: tuple(value) if key == "seeds" else value for key, value in config.items()}
+
+
+def test_the_benchmark_configs_run(tmp_path):
+    # the subcommands and config keys that bench/run.py passes, at small sizes
+    def run(argv, config):
+        path = tmp_path / f"{argv[0]}.json"
+        path.write_text(json.dumps(config))
+        return main([*map(str, argv), "--config", str(path)])
+
+    ring200, toy = tmp_path / "ring-road-200", tmp_path / "toy-ref"
+    assert run(["reference", "--env", "ring-road", "--out", ring200], {"env_size": 200}) == 0
+    assert main(["reference", "--env", "toy", "--out", str(toy)]) == 0
+    assert run(["run", "--env", "toy", "--algo", "semisgd", "--steps", "100", "--seeds", "0,1",
+                "--out", tmp_path / "run"], {"reference": str(toy)}) == 0
+    assert run(["sweep-k", "--env", "toy", "--k-list", "1,10", "--steps", "100",
+                "--seeds", "0", "--out", tmp_path / "sweep"], {"reference": str(toy)}) == 0
+    assert run(["compare-lfa", "--env", "ring-road", "--d2-list", "5", "--steps", "100",
+                "--seeds", "0", "--out", tmp_path / "lfa"], {"reference": str(ring200)}) == 0
+    assert not (tmp_path / "sweep" / "reference").exists()
+    assert not (tmp_path / "lfa" / "reference").exists()
+
+
+@pytest.mark.parametrize("argv,runner,message", [
+    (["sweep-k", "--env", "toy", "--k-list", "10,10"], "run_online_fpi",
+     "the K list [10, 10] must hold distinct values in [1, 100]"),
+    (["compare-lfa", "--env", "ring-road", "--d2-list", "5,5"], "run_semisgd",
+     "the d2 list [5, 5] must hold distinct values in [1, 200]"),
+])
+def test_a_repeated_sweep_value_is_a_config_error(tmp_path, capsys, monkeypatch, argv, runner,
+                                                  message):
+    # a repeated value would run its runs twice and write its row twice
+    def never(*args, **kwargs):
+        raise AssertionError("ran a sweep with a repeated value")
+
+    monkeypatch.setattr(cli, runner, never)
+    monkeypatch.setattr(cli, "ensure_reference", never)
+    out = tmp_path / "out"
+    assert main([*argv, "--steps", "100", "--seeds", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_k_of_zero_steps_names_the_k_list(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep-k", "--env", "toy", "--k-list", "1,10", "--steps", "0",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: the K list [1, 10] must hold distinct values in [1, 0]\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,config", [
     (["run", "--env", "toy", "--seeds=-1"], {}),
     (["run", "--env", "toy", "--seed-offset=-1"], {}),
@@ -473,8 +576,9 @@ def test_unknown_algorithm_in_a_config_is_a_config_error_for_every_subcommand(tm
     (["reference", "--env", "toy"], {"toy_seed": -1}),
 ])
 def test_negative_seed_is_a_config_error_that_leaves_nothing(tmp_path, capsys, argv, config):
+    steps = {} if argv[0] == "reference" else {"steps": 100}  # reference reads no steps
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"steps": 100, **config}))
+    path.write_text(json.dumps({**steps, **config}))
     out = tmp_path / "out"
     assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
@@ -497,11 +601,13 @@ def test_toy_game_past_six_states_or_actions_is_a_config_error(tmp_path, capsys,
     ["sweep-k", "--env", "toy", "--k-list", "1,10"],
     ["compare-lfa", "--env", "ring-road", "--d2-list", "5"],
 ])
-def test_zero_reference_budget_is_a_config_error_that_leaves_nothing(tmp_path, argv):
+def test_zero_reference_budget_is_a_config_error_that_leaves_nothing(tmp_path, capsys, argv):
+    run = {} if argv[0] == "reference" else {"steps": 100, "seeds": [0]}  # reference reads neither
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"reference_outer_iters": 0, "steps": 100, "seeds": [0]}))
+    config.write_text(json.dumps({"reference_outer_iters": 0, **run}))
     out = tmp_path / "out"
     assert main([*argv, "--config", str(config), "--out", str(out)]) == 2
+    assert "reference_outer_iters must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -659,6 +765,8 @@ def test_sweep_k_computes_exploitability_only_where_written(tmp_path, monkeypatc
     _counting(monkeypatch, cli, "run_online_fpi", records)
     out = cmd_sweep_k(spec, k_list)
     assert len(records) == len(k_list) * len(spec.effective_seeds)
+    # sweep_k.csv reads only the last snapshot, so no run takes one in between
+    assert all(r.steps.tolist() == [0, spec.steps] for r in records)
     assert all(r.expl_steps.tolist() == [0, spec.steps] for r in records)
     assert len(expl_calls) == 2 * len(records)
     rows = [line.split(",") for line in read(out / "sweep_k.csv").splitlines()[1:]]
@@ -684,6 +792,7 @@ def test_compare_lfa_computes_no_exploitability(tmp_path, monkeypatch, ring200_r
                           out=str(tmp_path / "lfa"))
     cmd_compare_lfa(spec, [5])
     assert len(records) == 2
+    assert all(r.steps.tolist() == [0, spec.steps] for r in records)
     assert all(r.expl_steps is None for r in records)
     assert expl_calls == []
 
