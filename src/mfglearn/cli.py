@@ -248,10 +248,11 @@ def ensure_reference(
     spec: ExperimentSpec, env: EnvironmentModel, out_dir: Path
 ) -> np.ndarray:
     """The reference population mu*: the ``mu_star.txt`` of the ``reference``
-    directory, one finite mass per state, whose ``meta.json`` must name this
-    environment and ``reference_outer_iters`` (one without a budget does
-    not, and one that is not a JSON object with ``env`` and ``n_states`` is
-    a ``ConfigError``); else solved and written to ``out_dir/reference``."""
+    directory, one finite non-negative mass per state with a sum within 1e-9
+    of one, whose ``meta.json`` must name this environment and
+    ``reference_outer_iters`` (one without a budget does not, and one that
+    is not a JSON object with ``env`` and ``n_states`` is a
+    ``ConfigError``); else solved and written to ``out_dir/reference``."""
     outer_iters = spec.reference_outer_iters
     if spec.reference is None:
         ref = model_based_fpi_fp(env, outer_iters=outer_iters)
@@ -274,8 +275,10 @@ def ensure_reference(
         mu = np.array([float(x) for x in path.read_text(encoding="utf-8").split()])
     except ValueError:  # a token that is not a number
         mu = np.array([])
-    if mu.shape != (env.n_states,) or not np.all(np.isfinite(mu)):
-        raise ConfigError(f"{path} does not hold {env.n_states} finite masses")
+    if (mu.shape != (env.n_states,) or not np.all(np.isfinite(mu)) or mu.min() < 0.0
+            or abs(float(mu.sum()) - 1.0) > 1e-9):
+        raise ConfigError(f"{path} does not hold {env.n_states} finite masses "
+                          "that are non-negative and sum to one")
     return mu
 
 

@@ -280,15 +280,17 @@ def _parse_network_file(path) -> tuple[int, list]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "nodes" and len(parts) == 2:
-            n_nodes = int(parts[1])
-        elif parts[0] == "edges" and len(parts) == 2:
-            n_edges = int(parts[1])
-        elif len(parts) == 2:
-            edges.append((int(parts[0]), int(parts[1])))
-        else:
-            raise NetworkLoadError(f"{path}:{line_no}: cannot parse {raw!r}")
+        try:
+            key, value = line.split()
+            value = int(value)
+            if key == "nodes":
+                n_nodes = value
+            elif key == "edges":
+                n_edges = value
+            else:
+                edges.append((int(key), value))
+        except ValueError:
+            raise NetworkLoadError(f"{path}:{line_no}: cannot parse {raw!r}") from None
     if n_nodes is None or n_edges is None:
         raise NetworkLoadError(f"{path}: missing 'nodes'/'edges' header lines")
     if len(edges) != n_edges:

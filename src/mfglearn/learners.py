@@ -150,9 +150,12 @@ class _OnlineRun:
     ``rng`` of every transition and action draw (after ``init_from_seed``,
     the seeded generator's ``_Uniforms``), and ``rows``, the policy rows of
     the current Q.  Every write to theta goes through ``update_theta`` or
-    ``set_theta``, which keep ``rows`` valid.  The TD discount is the game's,
-    ``env.gamma``.  General bases and feature maps use the semi-gradients
-    of ``lfa``; the one-hot cases apply the same rules at a single index.
+    ``set_theta``, which keep ``rows`` valid.  A miss reads Q rows from
+    theta through ``q_rows``, so a dense map costs one row per missed state
+    and only a snapshot builds the (S, A) table.  The TD discount is the
+    game's, ``env.gamma``.  General bases and feature maps use the
+    semi-gradients of ``lfa``; the one-hot cases apply the same rules at a
+    single index.
     """
 
     def __init__(
@@ -189,6 +192,9 @@ class _OnlineRun:
         self.drift_cap = (SIMPLEX_TOL - self.sum_err) / (1.0 + self.sum_err)
         self.eta = np.full(basis.d2, 1.0 / basis.d2)
         self.rows = _RowCache()
+        # the Q rows at a state or a list of states, read from theta itself
+        self.q_rows = (self.theta2d.__getitem__ if self.tabular_q
+                       else lambda states: phi.features[states] @ self.theta)
         self.s = 0
         self.a = 0
         self.rng = None
@@ -201,7 +207,7 @@ class _OnlineRun:
         self.eta = project_simplex(rng.random(self.basis.d2))
         self.rng = _Uniforms(rng)
         self.s = sample_action(self.env.initial_state, self.rng)
-        self.a = self._draw_action(self.q_table_now(), self.s, self.rng, self.rows)
+        self.a = self._draw_action(self.s)
 
     @property
     def eta(self) -> np.ndarray:
@@ -216,35 +222,29 @@ class _OnlineRun:
 
     # -- policy / sampling helpers -------------------------------------
 
-    def q_table_now(self) -> np.ndarray:
-        if self.tabular_q:
-            return self.theta2d
-        return q_table(self.theta, self.phi, self.env)
-
-    def _draw_action(self, q2d: np.ndarray, s: int, rng, rows: _RowCache) -> int:
-        """On-policy action at s, remapped to the feasible actions there,
-        through ``rows``, a cache of policy rows of ``q2d``.  A miss computes
-        the rows at s and at every stale state together: row by row under
-        feasibility masks or for one row, one ``policy_row`` call on their
-        block of Q rows otherwise."""
-        pol, feasible = self.pol, self.feasible
+    def _draw_action(self, s: int) -> int:
+        """On-policy action at s from ``rng``, remapped to the feasible
+        actions there, through ``rows``.  A miss computes the rows at s and
+        at every stale state together from their ``q_rows``: row by row under
+        feasibility masks or for one row, one ``policy_row`` call otherwise."""
+        pol, feasible, rows, q_rows = self.pol, self.feasible, self.rows, self.q_rows
         entry = rows.get(s)
         if entry is None:
             stale = rows.stale
             stale.add(s)
             if feasible is not None or len(stale) == 1:
                 for t in stale:
-                    row = policy_row(pol, q2d[t] if feasible is None else q2d[t, feasible[t]])
+                    row = policy_row(pol, q_rows(t) if feasible is None else q_rows(t)[feasible[t]])
                     rows[t] = (row, row.cumsum())
             else:
                 states = list(stale)
-                block = policy_row(pol, q2d[states])
+                block = policy_row(pol, q_rows(states))
                 cdfs = block.cumsum(axis=1)
                 for i, t in enumerate(states):
                     rows[t] = (block[i], cdfs[i])
             stale.clear()
             entry = rows[s]
-        j = sample_action(entry[0], rng, entry[1])
+        j = sample_action(entry[0], self.rng, entry[1])
         return j if feasible is None else int(feasible[s][j])
 
     def represent(self) -> np.ndarray:
@@ -254,19 +254,19 @@ class _OnlineRun:
 
     # -- chain and updates ----------------------------------------------
 
-    def chain_step(self, q2d_policy: np.ndarray, rows: _RowCache):
+    def chain_step(self):
         """Advance the chain one transition; the chain is never reset.
 
-        The next action is drawn from the supplied Q table, the one the
-        current pass started from, through the policy-row cache ``rows``
-        of that table.  Returns the observation (s, a, r, s_next, a_next).
+        The next action is drawn under the policy of the current Q, which a
+        forward pass never writes, so it is the Q the pass started from.
+        Returns the observation (s, a, r, s_next, a_next).
         """
         env = self.env
         m = self.represent()
         s, a = self.s, self.a
         r = env.reward(s, a, m)
         s_next = env.sample_next(s, a, m, self.rng)
-        a_next = self._draw_action(q2d_policy, s_next, self.rng, rows)
+        a_next = self._draw_action(s_next)
         self.s, self.a = s_next, a_next
         return s, a, r, s_next, a_next
 
@@ -400,10 +400,11 @@ class _Recorder:
             d = m - self.mu_ref
             self.mse.append(float(d @ d))
         if self.expl_every and t % self.expl_every == 0:
-            pi = policy_matrix(self.run.pol, self.run.q_table_now(), self.run.feasible)
-            mu_pi = induced_population(pi, self.run.env)
+            run = self.run
+            pi = policy_matrix(run.pol, q_table(run.theta, run.phi, run.env), run.feasible)
+            mu_pi = induced_population(pi, run.env)
             self.expl_steps.append(t)
-            self.expl.append(_exploitability_at(pi, self.run.env, mu_pi))
+            self.expl.append(_exploitability_at(pi, run.env, mu_pi))
 
     def to_record(self, seed: int, algorithm: str) -> RunRecord:
         return RunRecord(
@@ -478,15 +479,13 @@ def _run_passes(
     fp, md = algorithm == "fpi-fp", algorithm == "fpi-md"
     eta_hist = run.eta.copy() if fp else None
     theta_hist = run.theta.copy() if md else None
-    rows = run.rows
 
     for outer, start in enumerate(range(0, total, k)):
         end = min(start + k, total)
-        q = run.q_table_now()
         obs = []
         for t in range(start, end):
             alpha = step_size(schedule, t)
-            ob = run.chain_step(q, rows)
+            ob = run.chain_step()
             run.update_eta(ob[3], alpha)
             obs.append((ob, alpha))
             if (t + 1) % cadence == 0 and t + 1 < end:

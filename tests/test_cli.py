@@ -238,7 +238,9 @@ def test_explicit_reference_needs_only_meta_and_mu_star(tmp_path):
     lambda lines: ["nan"] + lines[1:],
     lambda lines: ["inf"] + lines[1:],
     lambda lines: ["x"] + lines[1:],
-], ids=["truncated", "one-too-many", "nan", "inf", "not-a-number"])
+    lambda lines: ["-0.5", "1.0", "0.5"],
+    lambda lines: ["0.5", "0.5", "0.5"],
+], ids=["truncated", "one-too-many", "nan", "inf", "not-a-number", "negative", "sum-not-one"])
 def test_explicit_mu_star_of_the_wrong_length_or_not_finite_is_a_config_error(
     tmp_path, capsys, edit
 ):
@@ -389,6 +391,18 @@ def test_malformed_int_list_is_a_config_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main([*argv, "--steps", "100", "--out", str(out)]) == 2
     assert "config error: not a comma-separated list of integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_integer_in_a_network_file_is_a_config_error(tmp_path, capsys):
+    network = tmp_path / "net.txt"
+    network.write_text("nodes 24\nedges 1\n1 x\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"network": str(network)}))
+    out = tmp_path / "out"
+    assert main(["reference", "--env", "sioux-falls", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert f"config error: {network}:3: cannot parse '1 x'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -389,6 +389,13 @@ def test_sioux_falls_rejects_malformed_files(tmp_path):
     with pytest.raises(NetworkLoadError):
         sioux_falls_env(no_header)
 
+    # a malformed integer names the file and the line
+    for name, text, line_no in (("bad_header_int.txt", "nodes x\nedges 1\n1 2\n", 1),
+                                ("bad_edge_int.txt", "nodes 2\nedges 1\n1 x\n", 3)):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(NetworkLoadError, match=f"{name}:{line_no}: cannot parse"):
+            sioux_falls_env(tmp_path / name)
+
     with pytest.raises(NetworkLoadError):
         sioux_falls_env(tmp_path / "missing.txt")
 

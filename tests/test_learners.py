@@ -92,7 +92,7 @@ def semisgd_step(env, eta, s, alpha):
                               argmax_operator(), np.inf)
     run.eta = np.array(eta)
     run.s, run.a, run.rng = s, 0, np.random.default_rng(0)
-    s, a, r, s_next, a_next = run.chain_step(run.q_table_now(), learners._RowCache())
+    s, a, r, s_next, a_next = run.chain_step()
     run.update_eta(s_next, alpha)
     run.update_theta(s, a, r, s_next, a_next, alpha)
     return run
@@ -247,6 +247,44 @@ def test_low_rank_features_stay_finite_inside_the_ball(toy_env):
     assert np.isfinite(rec.mse).all()
     for xi in rec.param_trace:
         assert validate_parameter(xi, cfg)
+
+
+@pytest.mark.parametrize("env_tag", ["toy", "ring-road-200"])
+@pytest.mark.parametrize("d1", [20, 50])
+def test_dense_q_rows_have_the_bytes_of_the_q_table(env_tag, d1):
+    # a draw that misses reads features[states] @ theta: the rows of one
+    # state and of a block of stale states, in any order, must have the
+    # bytes of the (S, A) table a snapshot builds
+    env = toy_finite_env(3, 2, seed=7) if env_tag == "toy" else ring_road_env(200)
+    phi = _low_rank_features(env.n_states, env.n_actions, d1, seed=d1)
+    run = learners._OnlineRun(env, phi, one_hot_measure_basis(env.states),
+                              argmax_operator(), np.inf)
+    rng = np.random.default_rng(d1)
+    for scale in (1e-3, 1.0, 1e3):
+        run.set_theta(scale * rng.normal(size=d1))
+        q = learners.q_table(run.theta, phi, env)
+        for s in range(env.n_states):
+            assert run.q_rows(s).tobytes() == q[s].tobytes(), (scale, s)
+        for n in (2, 3, 17, env.n_states):
+            states = rng.permutation(env.n_states)[:n].tolist()
+            assert run.q_rows(states).tobytes() == q[states].tobytes(), (scale, states)
+
+
+def test_a_dense_run_builds_the_q_table_only_for_exploitability(monkeypatch):
+    # a miss reads the Q rows it needs from theta: without exploitability
+    # snapshots no (S, A) table is built, with them one per snapshot
+    from dataclasses import replace
+
+    calls = []
+    original = learners.q_table
+    monkeypatch.setattr(learners, "q_table", lambda *args: calls.append(1) or original(*args))
+    env = ring_road_env(50)
+    phi = _low_rank_features(env.n_states, env.n_actions, 20, seed=1)
+    run_semisgd(env, small_cfg(env), phi=phi, mu_ref=env.initial_state)
+    run_online_fpi(env, small_cfg(env, algorithm="fpi-vanilla", inner_k=10), phi=phi)
+    assert calls == []
+    run_semisgd(env, replace(small_cfg(env), expl_every=100), phi=phi)
+    assert len(calls) == 6  # t = 0, 100, ..., 500
 
 
 def test_fp_mix_alpha_one_replaces_history():
@@ -482,8 +520,9 @@ def test_model_based_fpi_fp_determinism(toy_env):
 
 def _uncached_fpi_trace(env, cfg, variant, phi=None, basis=None):
     """Online FPI written out apart from the learners' shared pass loop,
-    without its per-pass row cache and without its projection guards: every
-    draw computes its policy row from a copy of the frozen Q, the backward
+    without its run-long row cache and without its projection guards: the
+    cache is emptied before every draw, so each draw recomputes its policy
+    row from theta, which the forward pass does not write; the backward
     pass recomputes step sizes, every sample runs the full simplex test
     (sign and sum) and takes the exact norm of theta, and the simplex
     projection is the frozen oracle.  ``phi`` and ``basis`` default to the
@@ -505,10 +544,10 @@ def _uncached_fpi_trace(env, cfg, variant, phi=None, basis=None):
     base_t = 0
     while base_t < cfg.total_steps:
         k_eff = min(cfg.inner_k, cfg.total_steps - base_t)
-        frozen_q = run.q_table_now().copy()
         obs = []
         for i in range(k_eff):
-            obs.append(run.chain_step(frozen_q, learners._RowCache()))
+            run.rows.clear()
+            obs.append(run.chain_step())
             s_next, alpha = obs[-1][3], step_size(cfg.schedule, base_t + i)
             if run.tabular_m:
                 eta *= 1.0 - alpha
@@ -691,10 +730,9 @@ def _check_every_draw(monkeypatch):
     original = learners._OnlineRun._draw_action
     drawn = []
 
-    def checked(self, q2d, s, rng, rows):
-        a = original(self, q2d, s, rng, rows)
-        assert rows is self.rows
-        row, cdf = rows[s]
+    def checked(self, s):
+        a = original(self, s)
+        row, cdf = self.rows[s]
         q = learners.q_table(self.theta, self.phi, self.env)
         want = policy_row_oracle(self.pol, q[s] if self.feasible is None
                                  else q[s, self.feasible[s]])
@@ -816,7 +854,6 @@ def test_simplex_sum_bound_is_sound_and_decides_as_the_full_test(
     run = learners._OnlineRun(env, phi, basis, pol, np.inf)
     run.init_from_seed(3)
     rng = np.random.default_rng(4)
-    q = run.q_table_now()
     writes = {
         steps // 4: lambda: fp_mix(rng.random(env.n_states), run.eta, 0.5),
         steps // 2: lambda: run.eta * (1.0 + 1e-9),  # off the simplex: projects
@@ -827,7 +864,7 @@ def test_simplex_sum_bound_is_sound_and_decides_as_the_full_test(
         if t in writes:
             run.eta = writes[t]()
         alpha = step_size(schedule, t)
-        s_next = run.chain_step(q, learners._RowCache())[3]
+        s_next = run.chain_step()[3]
         want = run.eta.copy()
         want *= 1.0 - alpha
         want[s_next] += alpha

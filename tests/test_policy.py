@@ -144,22 +144,23 @@ def _assert_matches_oracle(op, q_row, seed):
 
 def _pass_cache_run(env, op):
     """A one-hot run drawing its actions under ``op``.  Its ``_draw_action``
-    reads only the Q table it is given and the game's feasible actions."""
+    reads only its row source ``q_rows`` and the game's feasible actions."""
     phi, basis = one_hot_feature_map(env.states, env.actions), one_hot_measure_basis(env.states)
     return learners._OnlineRun(env, phi, basis, op, np.inf)
 
 
 def _assert_pass_cache_matches_oracle(run, q, visits, draws, draws_oracle):
-    """Actions drawn through one pass's row cache at the visited states equal
-    oracle draws from rows recomputed at every visit: the first visit of a
-    state misses the cache, every later one draws from its cached CDF."""
+    """Actions drawn from ``q`` through a fresh run's row cache at the
+    visited states equal oracle draws from rows recomputed at every visit:
+    the first visit of a state misses the cache, every later one draws from
+    its cached CDF."""
     feasible = run.feasible
-    rows = learners._RowCache()
+    run.q_rows, run.rng = q.__getitem__, draws
     for s in visits:
         feas = np.arange(q.shape[1]) if feasible is None else feasible[s]
         want = feas[sample_action_oracle(policy_row_oracle(run.pol, q[s, feas]), draws_oracle)]
-        assert run._draw_action(q, s, draws, rows) == want, (s, q[s])
-    assert sorted(rows) == sorted(set(visits))
+        assert run._draw_action(s) == want, (s, q[s])
+    assert sorted(run.rows) == sorted(set(visits))
 
 
 def _visits(n_states, rng):
