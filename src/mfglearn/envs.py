@@ -3,13 +3,13 @@ unit interval, routing on a 24-node road network, and a small synthetic
 finite game for tests and stationarity checks.
 
 Every environment defines its transition kernel once, as the sparse
-``kernel_support(mu)`` arrays, and derives everything else from them: the
-per-sample ``sample_next`` is an inverse-CDF draw over the (s, a) support
-row, and the model-based solver and the exploitability metric read the
-arrays directly.  Rewards are defined once as well, as the pointwise
-``reward(s, a, mu)``; the solver's (S, A) ``reward_matrix(mu)`` evaluates
-that same function on broadcast index arrays, so it agrees with every
-sampled reward bit for bit.
+``kernel_support(mu)`` arrays, and its reward once, as the pointwise
+``reward(s, a, mu)``; ``EnvironmentModel`` derives the inverse-CDF
+``sample_next``, the (S, A) ``reward_matrix(mu)``, which evaluates
+``reward`` on broadcast index arrays and so agrees with every sampled
+reward bit for bit, and the uniform start.  The solver and the
+exploitability metric read the support arrays directly.  A game's name
+identifies it, the network of a routing game included.
 
 Grid dynamics: the continuous move s' = s + a*dt (mod 1) is mapped back to
 the grid by stochastic rounding of the displacement in cells, which keeps
@@ -56,6 +56,10 @@ class EnvironmentModel:
 
     ``gamma``, in [0, 1), is the one discount that the learners, the
     reference solver and the metrics all read.
+
+    ``reward_matrix``, ``sample_next`` and ``initial_state`` left at None
+    are derived as above, the start uniform.  A value passed is kept, so
+    ``dataclasses.replace`` can wrap each callable and leave the others be.
     """
 
     name: str
@@ -63,17 +67,24 @@ class EnvironmentModel:
     actions: ActionSpace
     gamma: float
     reward: Callable[[Any, Any, np.ndarray], Any]
-    reward_matrix: Callable[[np.ndarray], np.ndarray]
-    sample_next: Callable[[int, int, np.ndarray, Any], int]
     kernel_support: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-    initial_state: np.ndarray
     reward_bound: float
     population_independent: bool
+    reward_matrix: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sample_next: Optional[Callable[[int, int, np.ndarray, Any], int]] = None
+    initial_state: Optional[np.ndarray] = None
     extras: Optional[dict] = None
 
     def __post_init__(self):
         if not (0.0 <= self.gamma < 1.0):
             raise ConfigError(f"discount must lie in [0,1), got {self.gamma}")
+        if self.reward_matrix is None:
+            object.__setattr__(self, "reward_matrix",
+                               _reward_table(self.reward, self.n_states, self.n_actions))
+        if self.sample_next is None:
+            object.__setattr__(self, "sample_next", _support_sampler(self.kernel_support))
+        if self.initial_state is None:
+            object.__setattr__(self, "initial_state", np.full(self.n_states, 1.0 / self.n_states))
 
     @property
     def n_states(self) -> int:
@@ -149,54 +160,56 @@ def _grid_kernel_support(size: int, delta: float):
     return kernel_support
 
 
+def _grid_game(name: str, size: int, make_reward) -> EnvironmentModel:
+    """The game ``<name>-<size>`` on the shift grid of ``_grid_kernel_support``:
+    locations and speeds share ``coords`` = {0, 1/size, ...}, a step covers
+    delta = 1/size, the discount is 1 - delta, and ``make_reward(coords,
+    delta)`` returns the game's ``(reward, reward_bound)``."""
+    states = StateSpace(size=size, kind="grid")
+    delta = states.delta
+    coords = np.arange(size) * delta
+    reward, bound = make_reward(coords, delta)
+    return EnvironmentModel(
+        name=f"{name}-{size}",
+        states=states,
+        actions=ActionSpace(size=size),
+        gamma=1.0 - delta,
+        reward=reward,
+        kernel_support=_grid_kernel_support(size, delta),
+        reward_bound=bound,
+        population_independent=True,
+    )
+
+
 def ring_road_env(size: int = 50) -> EnvironmentModel:
     """Speed control on a ring road discretized into ``size`` cells.
 
-    Locations and speeds share the grid {0, 1/size, ...}; one decision step
-    covers dt = 1/size.  The cost penalizes deviation from a location-
-    dependent stimulus speed corrected by local congestion:
+    On the grid of ``_grid_game``, the cost penalizes deviation from a
+    location-dependent stimulus speed corrected by local congestion:
 
         r(s, a, mu) = -1/2 (b(s) + 1/2 (1 - mu(s)/mu_jam) - a)^2 ds
 
     with b(s) = 0.2 (sin(4 pi s) + 2), mu_jam = 3/size, and discount
     gamma = 1 - ds.
     """
-    states = StateSpace(size=size, kind="grid")
-    delta = states.delta
-    actions = ActionSpace(size=size)
-    coords = np.arange(size) * delta
-    a_vals = np.arange(size) * delta  # a_max = 1
-    b = 0.2 * (np.sin(4.0 * np.pi * coords) + 2.0)
-    mu_jam = 3.0 / size
-    gamma = 1.0 - delta
 
-    kernel_support = _grid_kernel_support(size, delta)
+    def make_reward(coords, delta):  # coords are the speeds too; a_max = 1
+        b = 0.2 * (np.sin(4.0 * np.pi * coords) + 2.0)
+        mu_jam = 3.0 / size
 
-    def reward(s, a, mu):
-        bracket = b[s] + 0.5 * (1.0 - mu[s] / mu_jam) - a_vals[a]
-        return -0.5 * bracket * bracket * delta
+        def reward(s, a, mu):
+            bracket = b[s] + 0.5 * (1.0 - mu[s] / mu_jam) - coords[a]
+            return -0.5 * bracket * bracket * delta
 
-    # worst case over mu(s) in [0, 1] and the action grid
-    lo_term = 0.5 * (1.0 - 1.0 / mu_jam)
-    worst = max(
-        abs(b.max() + 0.5 - a_vals.min()),
-        abs(b.min() + lo_term - a_vals.max()),
-    )
-    bound = 0.5 * worst * worst * delta
+        # worst case over mu(s) in [0, 1] and the action grid
+        lo_term = 0.5 * (1.0 - 1.0 / mu_jam)
+        worst = max(
+            abs(b.max() + 0.5 - coords.min()),
+            abs(b.min() + lo_term - coords.max()),
+        )
+        return reward, 0.5 * worst * worst * delta
 
-    return EnvironmentModel(
-        name=f"ring-road-{size}",
-        states=states,
-        actions=actions,
-        gamma=gamma,
-        reward=reward,
-        reward_matrix=_reward_table(reward, size, size),
-        sample_next=_support_sampler(kernel_support),
-        kernel_support=kernel_support,
-        initial_state=np.full(size, 1.0 / size),
-        reward_bound=bound,
-        population_independent=True,
-    )
+    return _grid_game("ring-road", size, make_reward)
 
 
 def flocking_env(
@@ -219,49 +232,31 @@ def flocking_env(
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    states = StateSpace(size=size, kind="grid")
-    delta = states.delta
-    actions = ActionSpace(size=size)
-    coords = np.arange(size) * delta
-    a_vals = np.arange(size) * delta
-    gamma = 1.0 - delta
-    speed_cost = a_vals * a_vals
-    half = int(np.floor(radius / delta + 1e-9))
-    win_lo = np.maximum(0, np.arange(size) - half)
-    win_hi = np.minimum(size - 1, np.arange(size) + half)
-    before = win_lo - 1  # running sum just before the window; zeroed where win_lo == 0
-    has_before = win_lo > 0
 
-    kernel_support = _grid_kernel_support(size, delta)
+    def make_reward(coords, delta):  # coords are the speeds too
+        speed_cost = coords * coords
+        half = int(np.floor(radius / delta + 1e-9))
+        win_lo = np.maximum(0, np.arange(size) - half)
+        win_hi = np.minimum(size - 1, np.arange(size) + half)
+        before = win_lo - 1  # running sum just before the window; zeroed where win_lo == 0
+        has_before = win_lo > 0
 
-    def reward(s, a, mu):
-        # window mass and moment as differences of running sums
-        cs_mass = np.cumsum(mu)
-        cs_mom = np.cumsum(coords * mu)
-        lo, hi, keep = before[s], win_hi[s], has_before[s]
-        mass = cs_mass[hi] - cs_mass[lo] * keep
-        mom = cs_mom[hi] - cs_mom[lo] * keep
-        empty = mass == 0.0  # then the mean is the location of s
-        mean = (mom * ~empty + coords[s] * empty) / (mass + empty)
-        gap = s_det - mean
-        return -(speed_cost[a] + c * gap * gap) * delta
+        def reward(s, a, mu):
+            # window mass and moment as differences of running sums
+            cs_mass = np.cumsum(mu)
+            cs_mom = np.cumsum(coords * mu)
+            lo, hi, keep = before[s], win_hi[s], has_before[s]
+            mass = cs_mass[hi] - cs_mass[lo] * keep
+            mom = cs_mom[hi] - cs_mom[lo] * keep
+            empty = mass == 0.0  # then the mean is the location of s
+            mean = (mom * ~empty + coords[s] * empty) / (mass + empty)
+            gap = s_det - mean
+            return -(speed_cost[a] + c * gap * gap) * delta
 
-    worst_gap = max(abs(s_det), abs(s_det - coords.max()))
-    bound = (a_vals.max() ** 2 + c * worst_gap * worst_gap) * delta
+        worst_gap = max(abs(s_det), abs(s_det - coords.max()))
+        return reward, (coords.max() ** 2 + c * worst_gap * worst_gap) * delta
 
-    return EnvironmentModel(
-        name=f"flocking-{size}",
-        states=states,
-        actions=actions,
-        gamma=gamma,
-        reward=reward,
-        reward_matrix=_reward_table(reward, size, size),
-        sample_next=_support_sampler(kernel_support),
-        kernel_support=kernel_support,
-        initial_state=np.full(size, 1.0 / size),
-        reward_bound=bound,
-        population_independent=True,
-    )
+    return _grid_game("flocking", size, make_reward)
 
 
 def default_network_path() -> Path:
@@ -315,10 +310,15 @@ def sioux_falls_env(path=None) -> EnvironmentModel:
         r(s, a, mu) = -c1 * mu(s)^2 * 1{s != restart} + c2 * 1{s == restart}
 
     with c1 = 1e5, c2 = 10, discount gamma = 0.5, uniform initial state.
+    The game is named ``sioux-falls`` on the bundled edge list, whose digest
+    is d875700ef975, and ``sioux-falls-<digest>`` on any other, with the
+    first 12 hex digits of the SHA-256 of the parsed edge list as digest.
     """
     if path is None:
         path = default_network_path()
     n_nodes, edges = _parse_network_file(path)
+    import hashlib  # here: loading it costs every CLI start-up some milliseconds
+    digest = hashlib.sha256(repr(edges).encode()).hexdigest()[:12]
     if n_nodes != 24 or len(edges) != 74:
         raise NetworkLoadError(
             f"{path}: expected 24 nodes / 74 edges, got {n_nodes} nodes / {len(edges)} edges"
@@ -373,15 +373,12 @@ def sioux_falls_env(path=None) -> EnvironmentModel:
         return idx_cache, prob_cache
 
     return EnvironmentModel(
-        name="sioux-falls",
+        name="sioux-falls" if digest == "d875700ef975" else f"sioux-falls-{digest}",
         states=states,
         actions=actions,
         gamma=0.5,
         reward=reward,
-        reward_matrix=_reward_table(reward, n_e, n_e),
-        sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
-        initial_state=np.full(n_e, 1.0 / n_e),
         reward_bound=max(c1, c2),
         population_independent=True,
     )
@@ -459,10 +456,7 @@ def toy_finite_env(
         actions=actions,
         gamma=gamma,
         reward=reward,
-        reward_matrix=_reward_table(reward, n_states, n_actions),
-        sample_next=_support_sampler(kernel_support),
         kernel_support=kernel_support,
-        initial_state=np.full(n_states, 1.0 / n_states),
         reward_bound=bound,
         population_independent=(eps == 0.0),
         extras={"base_kernel": p0, "kernel_factors": factors, "mix_eps": eps},

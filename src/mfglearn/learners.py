@@ -175,7 +175,8 @@ class _OnlineRun:
         self.gamma = env.gamma
         self.radius = radius
         self.tabular_q = phi.one_hot
-        self.tabular_m = basis.identity_gram and basis.d2 == env.n_states
+        # eta as state masses only for the Dirac basis in state order
+        self.tabular_m = basis.identity_gram and np.array_equal(basis.masses, np.eye(env.n_states))
         self.feasible = env.actions.feasible
         # theta is only ever written in place, so the tabular view stays bound
         self.theta = np.zeros(phi.d1)
@@ -525,6 +526,8 @@ def run_semisgd(
     and the discount ``env.gamma``, so the record is a deterministic
     function of (env, cfg).
     """
+    if cfg.algorithm != "semisgd":
+        raise ConfigError(f"config algorithm {cfg.algorithm!r} is not semisgd")
     return _run_passes(env, cfg, "semisgd", 1, phi, basis, mu_ref, ref_map, record_params,
                        project)
 

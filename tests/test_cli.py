@@ -19,7 +19,7 @@ from mfglearn.cli import (
     spec_from_config,
 )
 from mfglearn.core import ConfigError
-from mfglearn.envs import ring_road_env
+from mfglearn.envs import default_network_path, ring_road_env
 from mfglearn.learners import ReferenceSolution
 
 from .conftest import traced_peak, write_values_oracle
@@ -198,6 +198,24 @@ def test_explicit_reference_of_another_budget_is_a_config_error(tmp_path):
     assert main(["run", "--env", "toy", "--config", str(config),
                  "--out", str(tmp_path / "cli")]) == 2
     assert not (tmp_path / "cli").exists()
+
+
+def test_explicit_reference_of_another_network_is_a_config_error(tmp_path, capsys):
+    # a routing game's name carries its network: a reference solved on the
+    # bundled network is not read for one with edge 1 -> 2 moved to 1 -> 3
+    ref_dir = cmd_reference(ExperimentSpec(env="sioux-falls", reference_outer_iters=30,
+                                           out=str(tmp_path / "ref")))
+    network = tmp_path / "net.txt"
+    network.write_text(read(default_network_path()).replace("\n1 2\n", "\n1 3\n", 1))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"network": str(network), "reference": str(ref_dir),
+                                  "reference_outer_iters": 30}))
+    out = tmp_path / "out"
+    assert main(["run", "--env", "sioux-falls", "--steps", "100", "--seeds", "0",
+                 "--no-exploitability", "--config", str(config), "--out", str(out)]) == 2
+    assert (f"reference {ref_dir} was not solved for sioux-falls-68ee614d45a8"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_out_holding_a_reference_solves_it_again(tmp_path):

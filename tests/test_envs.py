@@ -9,6 +9,9 @@ from mfglearn.envs import (
     EnvironmentModel,
     NetworkLoadError,
     _grid_kernel_support,
+    _reward_table,
+    _support_sampler,
+    default_network_path,
     flocking_env,
     ring_road_env,
     sioux_falls_env,
@@ -330,6 +333,21 @@ def test_sioux_falls_loads_bundled_network():
     np.testing.assert_allclose(env.initial_state, 1.0 / 75)
 
 
+def test_sioux_falls_name_says_which_network_it_was_built_on(tmp_path):
+    # the bundled edge list keeps the bare name, by default or by path, and
+    # comments and blank lines do not change it; any other edge list is named
+    # by the digest of its parsed edges
+    bundled = default_network_path().read_text(encoding="utf-8")
+    annotated = tmp_path / "annotated.txt"
+    annotated.write_text("# a copy\n\n" + bundled.replace("\n", "  # edge\n\n"))
+    redirected = tmp_path / "redirected.txt"
+    redirected.write_text(bundled.replace("\n1 2\n", "\n1 3\n", 1))
+    assert sioux_falls_env().name == "sioux-falls"
+    assert sioux_falls_env(default_network_path()).name == "sioux-falls"
+    assert sioux_falls_env(annotated).name == "sioux-falls"
+    assert sioux_falls_env(redirected).name == "sioux-falls-68ee614d45a8"
+
+
 def test_sioux_falls_rewards():
     env = sioux_falls_env()
     rng = np.random.default_rng(0)
@@ -481,6 +499,38 @@ def test_discount_outside_unit_interval_is_a_config_error():
         with pytest.raises(ConfigError, match="discount"):
             EnvironmentModel(**{**model, "gamma": gamma})
     assert EnvironmentModel(**{**model, "gamma": 0.0}).gamma == 0.0
+
+
+DERIVED_FIELDS = ("reward_matrix", "sample_next", "initial_state")
+
+
+@pytest.mark.parametrize("make_env", [
+    lambda: ring_road_env(20),
+    lambda: flocking_env(20),
+    sioux_falls_env,
+    lambda: toy_finite_env(3, 2, seed=7),
+], ids=["ring-road-20", "flocking-20", "sioux-falls", "toy-3x2-seed7"])
+def test_a_model_derives_the_fields_it_is_not_given_and_keeps_those_it_is(make_env):
+    env = make_env()
+    model = {f.name: getattr(env, f.name) for f in dataclasses.fields(env)}
+    bare = EnvironmentModel(**{k: v for k, v in model.items() if k not in DERIVED_FIELDS})
+    n_s, n_a = env.n_states, env.n_actions
+    mu = np.random.default_rng(5).dirichlet(np.ones(n_s))
+    assert (bare.reward_matrix(mu).tobytes()
+            == _reward_table(env.reward, n_s, n_a)(mu).tobytes())
+    sampler = _support_sampler(env.kernel_support)
+    uniforms = np.random.default_rng(6).random(n_s * n_a)
+    got, want = FixedDraws(uniforms), FixedDraws(uniforms)
+    for s in range(n_s):
+        for a in range(n_a):
+            assert bare.sample_next(s, a, mu, got) == sampler(s, a, mu, want)
+    assert got.values == want.values
+    assert bare.initial_state.tobytes() == np.full(n_s, 1.0 / n_s).tobytes()
+
+    given = {"reward_matrix": lambda mu: None, "sample_next": lambda s, a, mu, rng: 0,
+             "initial_state": np.zeros(n_s)}
+    kept = EnvironmentModel(**{**model, **given})
+    assert all(getattr(kept, k) is v for k, v in given.items())
 
 
 MODEL_CALLABLES = ("reward", "sample_next", "reward_matrix", "kernel_support")

@@ -205,6 +205,29 @@ def test_run_online_fpi_rejects_oversized_k(toy_env):
     run_online_fpi(toy_env, small_cfg(toy_env, steps=10, algorithm="fpi-vanilla", inner_k=10))
 
 
+@pytest.mark.parametrize("run, algorithm, inner_k, message", [
+    (run_semisgd, "fpi-vanilla", 10, "'fpi-vanilla' is not semisgd"),
+    (run_online_fpi, "semisgd", None, "'semisgd' is not an FPI variant"),
+], ids=["semisgd", "fpi"])
+def test_a_run_rejects_a_config_of_another_algorithm(toy_env, run, algorithm, inner_k, message):
+    # the record is labelled with the run's algorithm, so the config must name it
+    cfg = small_cfg(toy_env, steps=10, algorithm=algorithm, inner_k=inner_k)
+    with pytest.raises(ConfigError, match=message):
+        run(toy_env, cfg)
+
+
+def test_a_permuted_dirac_basis_records_the_mse_of_its_population(toy_env, toy_reference):
+    # identity Gram matrix, but eta[i] is the mass of state i + 1 (mod 3):
+    # the run must not read eta as state masses
+    from mfglearn.lfa import MeasureBasis
+
+    basis = MeasureBasis(np.eye(3)[[1, 2, 0]], 1.0)
+    mu_ref = toy_reference.mu_star
+    rec = run_semisgd(toy_env, small_cfg(toy_env, steps=3000), basis=basis, mu_ref=mu_ref)
+    d = basis.represent(rec.final.eta) - mu_ref
+    assert rec.mse[-1] == float(d @ d)
+
+
 def test_run_online_fpi_variants_smoke(toy_env):
     for variant in ("vanilla", "fp", "md", "er"):
         cfg = small_cfg(toy_env, steps=200, algorithm=f"fpi-{variant}", inner_k=20)
