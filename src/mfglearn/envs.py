@@ -19,7 +19,7 @@ the mean displacement exact and the chain ergodic.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple
 
@@ -57,9 +57,10 @@ class EnvironmentModel:
     ``gamma``, in [0, 1), is the one discount that the learners, the
     reference solver and the metrics all read.
 
-    ``reward_matrix``, ``sample_next`` and ``initial_state`` left at None
-    are derived as above, the start uniform.  A value passed is kept, so
-    ``dataclasses.replace`` can wrap each callable and leave the others be.
+    ``reward_matrix`` and ``sample_next`` left at None are derived as
+    above.  A value passed is kept, so ``dataclasses.replace`` can wrap
+    each callable and leave the others be.  ``initial_state`` is always the
+    uniform start and is not an argument.
     """
 
     name: str
@@ -72,8 +73,8 @@ class EnvironmentModel:
     population_independent: bool
     reward_matrix: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sample_next: Optional[Callable[[int, int, np.ndarray, Any], int]] = None
-    initial_state: Optional[np.ndarray] = None
     extras: Optional[dict] = None
+    initial_state: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.gamma < 1.0):
@@ -83,8 +84,7 @@ class EnvironmentModel:
                                _reward_table(self.reward, self.n_states, self.n_actions))
         if self.sample_next is None:
             object.__setattr__(self, "sample_next", _support_sampler(self.kernel_support))
-        if self.initial_state is None:
-            object.__setattr__(self, "initial_state", np.full(self.n_states, 1.0 / self.n_states))
+        object.__setattr__(self, "initial_state", np.full(self.n_states, 1.0 / self.n_states))
 
     @property
     def n_states(self) -> int:

@@ -494,14 +494,14 @@ def test_discount_outside_unit_interval_is_a_config_error():
     with pytest.raises(ConfigError, match="discount"):
         toy_finite_env(3, 2, 7, gamma=1.0)
     env = toy_finite_env(3, 2, 7)
-    model = {f.name: getattr(env, f.name) for f in dataclasses.fields(env)}
+    model = {f.name: getattr(env, f.name) for f in dataclasses.fields(env) if f.init}
     for gamma in (1.0, -0.1, float("nan")):
         with pytest.raises(ConfigError, match="discount"):
             EnvironmentModel(**{**model, "gamma": gamma})
     assert EnvironmentModel(**{**model, "gamma": 0.0}).gamma == 0.0
 
 
-DERIVED_FIELDS = ("reward_matrix", "sample_next", "initial_state")
+DERIVED_FIELDS = ("reward_matrix", "sample_next")
 
 
 @pytest.mark.parametrize("make_env", [
@@ -512,7 +512,7 @@ DERIVED_FIELDS = ("reward_matrix", "sample_next", "initial_state")
 ], ids=["ring-road-20", "flocking-20", "sioux-falls", "toy-3x2-seed7"])
 def test_a_model_derives_the_fields_it_is_not_given_and_keeps_those_it_is(make_env):
     env = make_env()
-    model = {f.name: getattr(env, f.name) for f in dataclasses.fields(env)}
+    model = {f.name: getattr(env, f.name) for f in dataclasses.fields(env) if f.init}
     bare = EnvironmentModel(**{k: v for k, v in model.items() if k not in DERIVED_FIELDS})
     n_s, n_a = env.n_states, env.n_actions
     mu = np.random.default_rng(5).dirichlet(np.ones(n_s))
@@ -527,8 +527,7 @@ def test_a_model_derives_the_fields_it_is_not_given_and_keeps_those_it_is(make_e
     assert got.values == want.values
     assert bare.initial_state.tobytes() == np.full(n_s, 1.0 / n_s).tobytes()
 
-    given = {"reward_matrix": lambda mu: None, "sample_next": lambda s, a, mu, rng: 0,
-             "initial_state": np.zeros(n_s)}
+    given = {"reward_matrix": lambda mu: None, "sample_next": lambda s, a, mu, rng: 0}
     kept = EnvironmentModel(**{**model, **given})
     assert all(getattr(kept, k) is v for k, v in given.items())
 

@@ -57,7 +57,6 @@ def make_env(kernel_rows, rewards, gamma=0.5, feasible=None):
         reward_matrix=lambda mu: rewards.copy(),
         sample_next=sample_next,
         kernel_support=lambda mu: (idx, kernel_rows),
-        initial_state=np.full(n_s, 1.0 / n_s),
         reward_bound=float(np.abs(rewards).max()) or 1.0,
         population_independent=True,
     )
