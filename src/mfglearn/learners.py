@@ -579,10 +579,13 @@ def model_based_fpi_fp(
     iteration's, so the stop iteration reuses them and still gets its trace
     entry.  A final consistency pass takes the last greedy policy's induced
     population as ``mu_star`` and recomputes Q there, so the returned pair
-    satisfies both fixed points up to the stated tolerances.  The solution
-    records the ``outer_iters`` budget and, as ``converged``, whether that
-    stopping rule fired within it; otherwise the pass runs at the last
-    iterate.
+    satisfies both fixed points up to the stated tolerances.  The best
+    response solved for the last exploitability, at an induced population,
+    is kept and reused where the solve needs one at a population with the
+    same bytes: at k = 1, where the average is the first induced
+    population, and in the consistency pass.  The solution records the
+    ``outer_iters`` budget and, as ``converged``, whether that stopping rule
+    fired within it; otherwise the pass runs at the last iterate.
     """
     if outer_iters < 1:
         raise ConfigError("outer_iters must be >= 1")
@@ -591,17 +594,24 @@ def model_based_fpi_fp(
     expl_vals: List[float] = []
     greedy_prev = None
     iterations = 0
+    solved = (None, None)  # the last exploitability's population bytes and best response
+
+    def best_response(mu):
+        return solved[1] if solved[0] == mu.tobytes() else value_iteration(env, mu)
 
     for k in range(outer_iters):
-        _, _, pi = value_iteration(env, mu_avg)
+        pi = best_response(mu_avg)[2]
         iterations = k + 1
         greedy = np.argmax(pi, axis=1)
         converged = greedy_prev is not None and np.array_equal(greedy, greedy_prev)
         if not converged:
             mu_ind = induced_population(pi, env)
         if expl_every and k % expl_every == 0:
-            reuse = converged and expl_iters[-1] == k - 1  # the same policy, just evaluated
-            expl_vals.append(expl_vals[-1] if reuse else _exploitability_at(pi, env, mu_ind))
+            if converged and expl_iters[-1] == k - 1:  # the same policy, just evaluated
+                expl_vals.append(expl_vals[-1])
+            else:
+                solved = (mu_ind.tobytes(), value_iteration(env, mu_ind))
+                expl_vals.append(_exploitability_at(pi, env, mu_ind, solved[1][0]))
             expl_iters.append(k)
         if converged:
             break
@@ -610,9 +620,9 @@ def model_based_fpi_fp(
 
     # consistency pass at the final greedy policy and its induced population
     mu_star = mu_ind
-    _, q_star, pi_star = value_iteration(env, mu_star)
+    v_star, q_star, pi_star = best_response(mu_star)
     if np.array_equal(np.argmax(pi_star, axis=1), greedy):
-        final_expl = _exploitability_at(pi_star, env, mu_star)
+        final_expl = _exploitability_at(pi_star, env, mu_star, v_star)
     else:
         final_expl = exploitability(pi_star, env)
     return ReferenceSolution(

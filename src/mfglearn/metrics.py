@@ -8,10 +8,15 @@ for the Bellman-optimality problem it solves) is found by policy iteration,
 a handful of such solves.
 
 Stationary and induced distributions are fixed points of the transition
-operator.  For population-independent kernels the stationary vector is
-found by repeated squaring of the damped policy kernel (I + p)/2 from the
-uniform start, which also converges for periodic chains; population-
-dependent kernels are swept to their fixed point.
+operator.  For population-independent kernels the stationary vector is the
+limit of the population from the uniform start (the Cesaro limit where the
+chain is periodic), built exactly from the closed classes of the policy
+kernel's support: one linear solve gives every class's stationary vector
+and one more the mass the transient states send to each class.  A result
+that fails its certificate (a chain that is irreducible in its support but
+not in floating point) is found instead by repeated squaring of the damped
+kernel (I + p)/2.  Population-dependent kernels are swept to their fixed
+point.
 """
 
 from __future__ import annotations
@@ -77,13 +82,134 @@ def dense_policy_kernel(pi: np.ndarray, env: EnvironmentModel, mu: np.ndarray) -
     return _dense_rows(pairs, succ, w, idx.shape[0])
 
 
-def _stationary_of_dense(p: np.ndarray) -> np.ndarray:
-    """Fixed point of m <- m @ p from the uniform start, by repeated squaring
-    of the damped kernel (I + p)/2: it has the fixed points of p, and its
-    powers converge for periodic chains as well.  Each squaring doubles the
-    number of steps, so the residual is tested after 2, 4, 8, ... damped
-    steps, and the result is normalised to sum one.
+def _closed_classes(n: int, starts: list, heads: list) -> list:
+    """Closed classes of a graph on n nodes whose edges out of node v are
+    heads[starts[v]:starts[v + 1]], each a sorted list of its nodes.
+
+    Tarjan's strongly-connected-components search with an explicit stack (no
+    recursion).  A component is finished only after every component it
+    reaches, so it is closed unless one of its nodes has an edge to a node
+    already finished, or is the parent of the root of a finished component.
     """
+    index = [-1] * n
+    low = [0] * n
+    done = [False] * n
+    leaves = [False] * n
+    classes = []
+    stack = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        path = [(root, starts[root])]
+        while path:
+            v, i = path[-1]
+            end = starts[v + 1]
+            while i < end:
+                w = heads[i]
+                i += 1
+                if index[w] < 0:
+                    break
+                if done[w]:
+                    leaves[v] = True
+                elif index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if low[v] == index[v]:
+                    k = len(stack) - 1
+                    while stack[k] != v:
+                        k -= 1
+                    members = stack[k:]
+                    del stack[k:]
+                    closed = True
+                    for w in members:
+                        done[w] = True
+                        closed = closed and not leaves[w]
+                    if closed:
+                        members.sort()
+                        classes.append(members)
+                    if path:
+                        leaves[path[-1][0]] = True
+                elif low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                continue
+            path[-1] = (v, i)  # descend to w, then resume v's edges at i
+            index[w] = low[w] = count
+            count += 1
+            stack.append(w)
+            path.append((w, starts[w]))
+    return classes
+
+
+def _closed_class_limit(p: np.ndarray) -> Optional[np.ndarray]:
+    """Uniform-start limit of m <- m @ p by the closed classes of p's support
+    graph, or None when the result fails its certificate.
+
+    With closed classes C_c, their stationary vectors pi_c and the
+    transient states T, the limit is sum_c w_c pi_c with
+    w_c = (|C_c| + sum_t B[t, c]) / n, where (I - P_TT) B = P_TC gives the
+    probability that a walk from t ends in C_c; it is 0 on T.  All pi_c come
+    from one solve of m (P_KK - I) = 0 on the closed states K, the column of
+    each class's first state replaced by its class sum = 1.  The result is
+    normalised to sum one.  The certificate: both solves succeed, B >= 0
+    with rows summing to one, m >= 0, and |m p - m|_1 < ``_POP_TOL``.  It
+    fails on chains that are irreducible in their support but not in
+    floating point, such as softmax chains with probabilities near 1e-300.
+    """
+    n = p.shape[0]
+    flat = np.flatnonzero(p.reshape(-1) != 0.0)
+    starts = np.searchsorted(flat, np.arange(0, n * n + 1, n))
+    classes = _closed_classes(n, starts.tolist(), (flat % n).tolist())
+    sizes = [len(c) for c in classes]
+    states = np.array([s for c in classes for s in c])
+    cls = np.repeat(np.arange(len(classes)), sizes)  # class of each closed state
+    member = (cls[:, None] == np.arange(len(classes))).astype(np.float64)
+    reps = np.cumsum(sizes) - sizes
+    outside = np.ones(n, dtype=bool)
+    outside[states] = False
+    transient = np.flatnonzero(outside)
+
+    a = p.take(states, axis=0).take(states, axis=1)
+    a.flat[:: states.size + 1] -= 1.0
+    a[:, reps] = member
+    rhs = np.zeros(states.size)
+    rhs[reps] = 1.0
+    weight = member.sum(axis=0)
+    try:
+        pi = np.linalg.solve(a.T, rhs)
+        if transient.size:
+            p_t = p.take(transient, axis=0)
+            b = np.linalg.solve(_eye_minus(1.0, p_t.take(transient, axis=1)),
+                                p_t.take(states, axis=1) @ member)
+            if not ((b >= 0.0).all() and np.abs(b.sum(axis=1) - 1.0).max() < _POP_TOL):
+                return None
+            weight += b.sum(axis=0)
+    except np.linalg.LinAlgError:
+        return None
+    m = np.zeros(n)
+    m[states] = pi * weight[cls]
+    m /= m.sum()
+    if (m >= 0.0).all() and np.abs(m @ p - m).sum() < _POP_TOL:
+        return m
+    return None
+
+
+def _stationary_of_dense(p: np.ndarray) -> np.ndarray:
+    """Limit of the population m <- m @ p from the uniform start (the Cesaro
+    limit where p is periodic): ``_closed_class_limit``, or where that fails
+    its certificate, repeated squaring of the damped kernel (I + p)/2, which
+    has the fixed points of p and whose powers converge for periodic chains
+    as well.  Each squaring doubles the number of steps, so the residual is
+    tested after 2, 4, 8, ... damped steps, and the result is normalised to
+    sum one.
+    """
+    m = _closed_class_limit(p)
+    if m is not None:
+        return m
     n = p.shape[0]
     pd = np.eye(n)
     pd += p
@@ -215,10 +341,14 @@ def policy_evaluation(env: EnvironmentModel, pi: np.ndarray, mu_fixed: np.ndarra
     return np.linalg.solve(_eye_minus(env.gamma, dense_policy_kernel(pi, env, mu_fixed)), r_pi)
 
 
-def _exploitability_at(pi: np.ndarray, env: EnvironmentModel, mu_pi: np.ndarray) -> float:
+def _exploitability_at(
+    pi: np.ndarray, env: EnvironmentModel, mu_pi: np.ndarray, v_br: Optional[np.ndarray] = None
+) -> float:
     """mu_pi . (V* - V_pi) on the MDP frozen at mu_pi; values below zero by
-    no more than ``_ROUNDING`` * R / (1 - gamma) are clamped to zero."""
-    v_br, _, _ = value_iteration(env, mu_pi)
+    no more than ``_ROUNDING`` * R / (1 - gamma) are clamped to zero.  V* is
+    v_br when given (``value_iteration``'s V at mu_pi), else solved here."""
+    if v_br is None:
+        v_br, _, _ = value_iteration(env, mu_pi)
     v_pi = policy_evaluation(env, pi, mu_pi)
     value = float(mu_pi @ (v_br - v_pi))
     if value < -_ROUNDING * _value_scale(env):

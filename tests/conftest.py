@@ -147,7 +147,10 @@ def simplex_projection_oracle(v: np.ndarray) -> np.ndarray:
 def stationary_oracle(p: np.ndarray) -> np.ndarray:
     """Frozen copy of ``_stationary_of_dense`` as it was before its plain
     sweeps stopped at an exact repeat: always all 200 sweeps unless one
-    converges.  Its bytes are the contract of the current one."""
+    converges, then repeated squaring of (I + p)/2.  The program now solves
+    per closed class; this squaring is the reference that solve must lie
+    within l1 1e-10 of, and on the numerically reducible chains the tests
+    capture its bytes are those the program's squaring fallback returns."""
     n = p.shape[0]
     m = np.full(n, 1.0 / n)
     for _ in range(200):

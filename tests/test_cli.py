@@ -907,14 +907,14 @@ GOLDEN_DIGESTS = {
     },
     "ring-road-50-sweep-k": {
         "reference/meta.json": "c7e513f85ab98953744f006ea44418800bf4748fa9e428daa489d362a6f30017",
-        "reference/mu_star.txt": "b1adf8b7935edbe6d51c8569ca7cb4062a46bd2f05c62f806647ca188a11b093",
-        "reference/q_star.txt": "2c67f55c9b496f31c8095ef69111db4d57fd8f2f075b795957d5dad2fab2ab17",
+        "reference/mu_star.txt": "1aa6143f42993e5cf96622971f2b0241da506b6866bd0b0fc78763b24189bbb8",
+        "reference/q_star.txt": "52fffe54bd1915e9c52f82b9f240dc75083c7dcd81abf4a29bffcc525209389f",
         "reference/reference.csv":
-            "af2a083f781a7cfcd2f48e0daa7403665b335442683218f2da7a039cd2d1f75d",
-        "sweep_k.csv": "0943a0b6b8dd64067aa4cb12427facb69e9d392212ec95cb4b8f2eadc16ccd01",
+            "c402b08135b18ae11241de11077a3690755cc822d464faf24c0e09480dbd32ca",
+        "sweep_k.csv": "97560bca046fb8f312e0fe6ae176d9d4ed3bda6007e0b105bb8366cc48e1a926",
     },
     "compare-lfa": {
-        "compare_lfa.csv": "937f836495e7e1377ad659d38df6f4cc942281ee387916aa9a7bf7134423b5b5",
+        "compare_lfa.csv": "614be665e7f6301ff6ea934cbbd87113b96cc05c7e77b7699cbeb8d71e90950f",
     },
     "toy-run-fpi-er": {
         "aggregate.csv": "42ebd691190300a1525433d0f0f7385692a9f9e08080b36e34cff63b035eac93",
@@ -927,30 +927,30 @@ GOLDEN_DIGESTS = {
         "run_seed1.csv": "4bed20850105749223eae30b5dc445335924dd28e6d6204a9a027d02c8dd9a33",
     },
     "flocking-run": {
-        "aggregate.csv": "36c83faba87dc71ee967d74c7442eb8d8a7214e8f511f37864df5afa2855d831",
-        "reference/meta.json": "9bf55c3a143e851e6624a5f54662a91d543a94cc832d6d0f45305510758d37c5",
-        "reference/mu_star.txt": "dc1191db4052fdc056fc49eb625cdf693c6bf69e12d069ef23cc59d4af70ddeb",
-        "reference/q_star.txt": "739b28546e663d02085d9149ac41e845b547b0f969faa81d340c683e6fdf9204",
+        "aggregate.csv": "b2ce980384c52309aa648205cbf22e52796fc9ef7d2d1c792cbfff93ea4f4262",
+        "reference/meta.json": "e0f6678b0afaa075f02c72260dd1830edbf8fde36ca60c014f7f394079091277",
+        "reference/mu_star.txt": "b58f7aad4d6264f5ed2579dd3b3baa253fc78f8f593acd395d68a0681331f200",
+        "reference/q_star.txt": "6a6a3a5955923703d8fe34f30a36fb395d14e00a6a964f9298a12d0a2c6bab2c",
         "reference/reference.csv":
-            "d24783148c2bce9017cff9c9affe7d14398a6be1d7168a6f05e840f4a81facf6",
-        "run_seed0.csv": "979a93133f862f696191cf59b7330d3fdef3c626fc9bfce06476820a195c24cd",
-        "run_seed1.csv": "269acc48c06643eb67a35590ea0398379c3b7c929c7e663786bae88ec8d97010",
+            "e6a880d9598c562dd80de71fd11e08cba645589d2e39fc77f9d19b47cd3f760c",
+        "run_seed0.csv": "32b1c18900f1669cc0ae815b2008e36f38eeb2296c3db6c809ac66f93d72a2f4",
+        "run_seed1.csv": "9e9772e6dca43b3598fb03be9230cdb3187f58bf9edf9132a148114f4fa24ed7",
     },
     "ring-road-tan-normal-run": {
-        "aggregate.csv": "e71792cc34a227f2a653648cc6d47e585c140f2ad24ed4a87041a8476e7662e0",
+        "aggregate.csv": "b4c146ee5d34c6c8f071d1c822e2e41b812b1634d865737848a0ad9a61baaefe",
         "reference/meta.json": "c7e513f85ab98953744f006ea44418800bf4748fa9e428daa489d362a6f30017",
-        "reference/mu_star.txt": "b1adf8b7935edbe6d51c8569ca7cb4062a46bd2f05c62f806647ca188a11b093",
-        "reference/q_star.txt": "2c67f55c9b496f31c8095ef69111db4d57fd8f2f075b795957d5dad2fab2ab17",
+        "reference/mu_star.txt": "1aa6143f42993e5cf96622971f2b0241da506b6866bd0b0fc78763b24189bbb8",
+        "reference/q_star.txt": "52fffe54bd1915e9c52f82b9f240dc75083c7dcd81abf4a29bffcc525209389f",
         "reference/reference.csv":
-            "af2a083f781a7cfcd2f48e0daa7403665b335442683218f2da7a039cd2d1f75d",
-        "run_seed0.csv": "ac2a7353d712025b498a2ac015fb28c271a015b5f36aaeb011437f08868c2dbd",
-        "run_seed1.csv": "d7632db76faea1181a2b6e9a17366b47b3aadbdbc6ab37e8f8cdfef7e0a16811",
+            "c402b08135b18ae11241de11077a3690755cc822d464faf24c0e09480dbd32ca",
+        "run_seed0.csv": "b4f684053053e2cb2455a98cbb5db434c2719bff0d72ede7b77fe034162d374c",
+        "run_seed1.csv": "5a133258b25f37f9a8ebe824cff8425525d4fb3e8ff911297cb4a3033b14e6e4",
     },
     "sioux-falls-reference": {
-        "meta.json": "e304eaeb9e4c92b9bbf3ffd4381f3cac28d4d8bd868fb28adb57f92e5e34af6c",
-        "mu_star.txt": "d555b1c4006cccab1b0dfc51513f48e663051eacb35ca56688eee48ac11d2c74",
-        "q_star.txt": "ed12ba1f50de8dfffe22424222748f2a82e7b9ced19026ff2c9acd765fe229b0",
-        "reference.csv": "9e255d16748106531ea3631e8a12be28720e8dfe5c214ac83670bfe5faa40dd4",
+        "meta.json": "668f5007813567dd14f94426d4b57b61350ea2840e34a1a75b8f8e2e94ebcc73",
+        "mu_star.txt": "6b43b62def4c8d903d18892c9403c778260334c9fad81e1635ac2993ec7f34a8",
+        "q_star.txt": "0bf9878ecbe83c0bb1d2d466d4e2a55d7a8f05e81a59fe963dacb3f82fcfd876",
+        "reference.csv": "2bebcabbc93026f6f17f5ffbd8773d7521c7155167154cb26c139f52afdd8b21",
     },
     "toy-run-10000": {
         "aggregate.csv": "a54a235d14e4a5ea68568f82f9e3a8dd1d7515de583ea5943961473f913014a7",
@@ -963,31 +963,31 @@ GOLDEN_DIGESTS = {
     },
     "ring-road-50-sweep-k-10000": {
         "reference/meta.json": "c7e513f85ab98953744f006ea44418800bf4748fa9e428daa489d362a6f30017",
-        "reference/mu_star.txt": "b1adf8b7935edbe6d51c8569ca7cb4062a46bd2f05c62f806647ca188a11b093",
-        "reference/q_star.txt": "2c67f55c9b496f31c8095ef69111db4d57fd8f2f075b795957d5dad2fab2ab17",
+        "reference/mu_star.txt": "1aa6143f42993e5cf96622971f2b0241da506b6866bd0b0fc78763b24189bbb8",
+        "reference/q_star.txt": "52fffe54bd1915e9c52f82b9f240dc75083c7dcd81abf4a29bffcc525209389f",
         "reference/reference.csv":
-            "af2a083f781a7cfcd2f48e0daa7403665b335442683218f2da7a039cd2d1f75d",
-        "sweep_k.csv": "03e3d9e2978ee0076604af427042c4e8fb700a272f7955b39a14ea283e881626",
+            "c402b08135b18ae11241de11077a3690755cc822d464faf24c0e09480dbd32ca",
+        "sweep_k.csv": "9a043445af9dfc41eae3b1f19f0faacf72d6eace2db2c7a6f3ec497e91263053",
     },
     "sioux-falls-run-fpi-md": {
-        "aggregate.csv": "ab2d17eeb51974dee8795e18e9a6f75e88115dfe5640ee9b3ee6ae5d7cb2f5d1",
-        "reference/meta.json": "e304eaeb9e4c92b9bbf3ffd4381f3cac28d4d8bd868fb28adb57f92e5e34af6c",
-        "reference/mu_star.txt": "d555b1c4006cccab1b0dfc51513f48e663051eacb35ca56688eee48ac11d2c74",
-        "reference/q_star.txt": "ed12ba1f50de8dfffe22424222748f2a82e7b9ced19026ff2c9acd765fe229b0",
+        "aggregate.csv": "b63c4f0ddfc144bf41d87d27558da0b7f802c15e5709e5dcb1c1550105e249e4",
+        "reference/meta.json": "668f5007813567dd14f94426d4b57b61350ea2840e34a1a75b8f8e2e94ebcc73",
+        "reference/mu_star.txt": "6b43b62def4c8d903d18892c9403c778260334c9fad81e1635ac2993ec7f34a8",
+        "reference/q_star.txt": "0bf9878ecbe83c0bb1d2d466d4e2a55d7a8f05e81a59fe963dacb3f82fcfd876",
         "reference/reference.csv":
-            "9e255d16748106531ea3631e8a12be28720e8dfe5c214ac83670bfe5faa40dd4",
-        "run_seed0.csv": "8dff292775b7b4d1d285142a5f4bc44b59067d56d994ce0e1aee46632448510d",
-        "run_seed1.csv": "4656cad668832abbad40bc1c137d387a2ee70e7efc8247806de340cb2909835d",
+            "2bebcabbc93026f6f17f5ffbd8773d7521c7155167154cb26c139f52afdd8b21",
+        "run_seed0.csv": "cd472af9aee9b486b93f635be7112d36e1e9045b00eaf731176880d713fb85dd",
+        "run_seed1.csv": "5205996d21b0a97805d3fd76264a6c6575ae8b70ba9d4c0f330a8ddaad27ee3f",
     },
     "ring-road-run-fpi-fp": {
-        "aggregate.csv": "2b5ba35378b787248abdc8ea3c4dc8a7f5861fcbcd5bee1bad59470773d033de",
+        "aggregate.csv": "0b4703f8124bb7999dc06b01a9c64373af4c1a66d5d063b6a40789bbb89944d2",
         "reference/meta.json": "c7e513f85ab98953744f006ea44418800bf4748fa9e428daa489d362a6f30017",
-        "reference/mu_star.txt": "b1adf8b7935edbe6d51c8569ca7cb4062a46bd2f05c62f806647ca188a11b093",
-        "reference/q_star.txt": "2c67f55c9b496f31c8095ef69111db4d57fd8f2f075b795957d5dad2fab2ab17",
+        "reference/mu_star.txt": "1aa6143f42993e5cf96622971f2b0241da506b6866bd0b0fc78763b24189bbb8",
+        "reference/q_star.txt": "52fffe54bd1915e9c52f82b9f240dc75083c7dcd81abf4a29bffcc525209389f",
         "reference/reference.csv":
-            "af2a083f781a7cfcd2f48e0daa7403665b335442683218f2da7a039cd2d1f75d",
-        "run_seed0.csv": "1b5b893a60b531a80c8503bd1ac46627de0c36e140c2aa072659e4e85033560b",
-        "run_seed1.csv": "e1574548873cc0b5a197a7d38e20cae5cca973e296cf2f23f150c7448c85b731",
+            "c402b08135b18ae11241de11077a3690755cc822d464faf24c0e09480dbd32ca",
+        "run_seed0.csv": "e9e1148b321b0ae42d4666bb12e6933953b762ef978bcbd4b36ef147a8506716",
+        "run_seed1.csv": "63770dc37a7869032faeb2b39e475d95dd6614220e09d6e3614ed0332514be26",
     },
     "toy-run-ball": {
         "aggregate.csv": "41d88534ded8ab0aaef9024c9bc78d7ddcc0e49663400c176b5d7ad583a57948",

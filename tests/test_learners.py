@@ -415,25 +415,47 @@ def test_model_based_fpi_fp_induces_each_population_once(make, outer_iters, monk
     assert ref.mu_star.tobytes() == induced[ref.iterations - ref.converged - 1].tobytes()
 
 
+def _record_best_responses(monkeypatch):
+    """Population bytes of every ``value_iteration`` call the solver makes,
+    through the loop or through ``metrics.exploitability``."""
+    populations = []
+
+    def recorded_value_iteration(env, mu):
+        populations.append(np.asarray(mu).tobytes())
+        return value_iteration(env, mu)
+
+    monkeypatch.setattr(learners, "value_iteration", recorded_value_iteration)
+    monkeypatch.setattr("mfglearn.metrics.value_iteration", recorded_value_iteration)
+    return populations
+
+
 @SOLVER_WORK_CASES
 def test_model_based_fpi_fp_evaluates_each_policy_once(make, outer_iters, monkeypatch):
     # with expl_every=1 every outer iteration gets a trace entry, but the
     # loop takes no policy's exploitability twice: the stop iteration reuses
-    # its predecessor's
-    greedy = _record_greedy_policies(monkeypatch)
+    # its predecessor's.  The best response of each exploitability serves
+    # again at k = 1 and in the consistency pass, whose populations have the
+    # same bytes
+    solved = _record_best_responses(monkeypatch)
     evaluated = []
 
     exploitability_at = learners._exploitability_at
 
-    def recorded_exploitability_at(pi, env, mu):
-        evaluated.append((len(greedy), pi.tobytes()))
-        return exploitability_at(pi, env, mu)
+    def recorded_exploitability_at(pi, env, mu, *best):
+        evaluated.append(pi.tobytes())
+        return exploitability_at(pi, env, mu, *best)
 
     monkeypatch.setattr(learners, "_exploitability_at", recorded_exploitability_at)
     ref = model_based_fpi_fp(make(), outer_iters=outer_iters, expl_every=1)
-    in_loop = [pi for n_best_responses, pi in evaluated if n_best_responses <= ref.iterations]
-    assert len(in_loop) == len(set(in_loop)) == ref.iterations - ref.converged
+    in_loop = ref.iterations - ref.converged
+    assert len(set(evaluated[:in_loop])) == in_loop
+    assert len(evaluated) <= in_loop + 1  # the consistency pass's, when its greedy repeats
     assert ref.expl_iterations.tolist() == list(range(ref.iterations))
+    # no best response repeats the population of either solve before it; an
+    # unconverged Sioux Falls solve's greedy policies cycle, so its final
+    # exploitability may solve again at a population from further back
+    for i, key in enumerate(solved):
+        assert key not in solved[max(i - 2, 0):i]
 
 
 # SHA-256 of each field of ``model_based_fpi_fp(env)`` (300 outer iterations,
@@ -452,38 +474,38 @@ REFERENCE_DIGESTS = {
         "converged": "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
     },
     "ring-road-50": {
-        "q_star": "92ae4e7865f87e3c776220ddc8e07074553cfe1ba01b4678f3d90cd195c1ca31",
-        "mu_star": "becfa86efcc0fefb5ebeb0867610a4928c30870a78899f3f9788f619ffe6b2a2",
+        "q_star": "daad1218f8fd7ee749a782d8157dd703b3e6678909c05c80ea084d1adea0bcd8",
+        "mu_star": "054e500cf1f3684f7c54cbdfebe7e442e9d4bf7e2ba9238fd52ad73384d92891",
         "expl_iterations": "f190072c5052f4f440d4a607c25f5bced487c420806c9aab4ca5b0653e72da61",
-        "expl_trace": "d50635db767961852b5dfdb12940ef33ccde64798eaf79232374f9846807e727",
+        "expl_trace": "2c263d0ff9527a68a3a1fa6df88d37ad08c88c13120b802035608cfbf9ba479f",
         "final_exploitability": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
         "iterations": "23d7f42b1cdc1f0d492ebd756ed0fe8003995dda554d99418d47a81813650207",
         "converged": "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
     },
     "ring-road-200": {
-        "q_star": "64fd73f260d8f778c5e5ee2e932d267cf6c3f83d7a9c8c56ffc75a5587ce6e28",
-        "mu_star": "6b1f2eab628a01410613436a23115567a3efaa8293a70259dc9b981400056ea6",
+        "q_star": "0bfafeb5a1cfc17c442eed040a0afb511d0106ce2ee305832eb8ab5adebf5f55",
+        "mu_star": "eeba442d778d2b57cb1a3a91ada6c0d10df68bb227b599ce62ee676222e396db",
         "expl_iterations": "419ce84f0e9d892643ed1279ee8cdaa70ddc452e676dfe448cbeaaa830c06567",
-        "expl_trace": "af4acc7b5a076c3e13ee1a2c988e17d8dfb53c356a20e60d56d868f2d966ef71",
-        "final_exploitability": "039f27a9a9945b7a2041f901e0646e1ff521b990f8a7554ff36066fd85c8b91e",
+        "expl_trace": "8838e251665e2e0c55542b3bc71f64604971d34b984551dc1da5e67ffb1abd91",
+        "final_exploitability": "4a16151364ed6e6bc3748c0fe2cdc6d924630bcf90ea53e728c4c0173cc0bb84",
         "iterations": "cbbd5f990c53684d7ae650b40fcb5656e02261b53da5f6a7d8c819c92f2828f8",
         "converged": "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
     },
     "flocking-50": {
-        "q_star": "a5857cac55054fd3a7e528b8489b8278091b659725d5f89a2dc0785c58e4cf00",
-        "mu_star": "9aca51498a012b6998dfd7ba5f62a765e413805fe040075193f17733e8b8dc20",
+        "q_star": "6fa4b38f23c213e0a4b7c4f6c5816d503a8f6b626c7857989a998265a36c5e56",
+        "mu_star": "4c19c8531dfcb51314709c5a9b55e7b466903deff662096a019dcdd36e0bcd6b",
         "expl_iterations": "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a",
-        "expl_trace": "aeba41883c5de4473520a642340ed35867bd7b0d2c6c33064e54ad14a5f94a7c",
-        "final_exploitability": "1fe497865b0ec764beb34dbd8e19e2bfee2f5f71e1bb26ebb2b080463fe45509",
+        "expl_trace": "34e5988e4b21ee43b7ba9af63e00238ca60df73ff55b54cfe7bf13e4b06da3c7",
+        "final_exploitability": "fce8eeab327352fef2a54e8d40e830a6c8207abc0dc15056ef7e36fa904a231e",
         "iterations": "a111f275cc2e7588000001d300a31e76336d15b9d314cd1a1d8f3d3556975eed",
         "converged": "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
     },
     "sioux-falls": {
-        "q_star": "d8d92f88f46cb7b0e09096665690160e569448ea121a05d760585404ff92c9e6",
-        "mu_star": "8f9d09c1d8944522f029b0c9356175c892e6b1e19bf6f4822e14ad03162733d3",
+        "q_star": "74a4a6b3c39e1ca346577275910339bdef930bdfd65987503f61c01f7df65dd3",
+        "mu_star": "c7d2f4ccc5fcd652eaed4fe0ce721e8a32200c0f1cf404e4684197b8c33f94f4",
         "expl_iterations": "98e038d3a30a991777ce2f66d2e9b9f377e44b6444635d2b5dd70d38ae78f241",
-        "expl_trace": "fd28cf3fed3d5e6febe29785a65dae81bb224264fab00519e74adbda102272f9",
-        "final_exploitability": "a0e558cb5407c53b2644923bb0dbdc77011b7ab9cbe2f062eeed710861b39da4",
+        "expl_trace": "f9f72f2a878e53fe18d1cad8e0d340383b44a8f824866f028d83acadd5eabaf2",
+        "final_exploitability": "0b6cbb4685aff83c91d325689984679cbd67b9346793366f9d41cc08a01f6c9f",
         "iterations": "5fbbc50a5e0bc4e1bb5ea4bbacda5ae6709eff8e286fb002fee73a4913820fe9",
         "converged": "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
     },

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfglearn.cli import ExperimentSpec, cmd_run
 from mfglearn.core import ActionSpace, StateSpace, UnifiedParameter
 from mfglearn.envs import (
     EnvironmentModel,
@@ -153,24 +154,6 @@ def _functional_chain(successor) -> np.ndarray:
     return np.eye(len(successor))[list(successor)]
 
 
-def _plain_phase(p: np.ndarray):
-    """How the plain sweeps of a stationary solve end: ("converged", sweep),
-    ("repeat", sweep) at the first iterate equal in bytes to an earlier one,
-    or ("budget", 200)."""
-    m = np.full(p.shape[0], 1.0 / p.shape[0])
-    seen = {m.tobytes()}
-    for sweep in range(1, 201):
-        m_next = m @ p
-        if np.abs(m_next - m).sum() < 1e-12:
-            return "converged", sweep
-        key = m_next.tobytes()
-        if key in seen:
-            return "repeat", sweep
-        seen.add(key)
-        m = m_next
-    return "budget", 200
-
-
 def _lazy_reset(n: int, reset: float) -> np.ndarray:
     """Kernel staying put with probability 1 - reset, else moving to state 0."""
     p = (1.0 - reset) * np.eye(n)
@@ -178,69 +161,147 @@ def _lazy_reset(n: int, reset: float) -> np.ndarray:
     return p
 
 
+def _three_classes_and_transients() -> np.ndarray:
+    """A mixing class {0, 1}, an absorbing state 2, a periodic class {3, 4},
+    and transient states 5 and 6 that reach all three and each other."""
+    p = np.zeros((7, 7))
+    p[0, [0, 1]] = 0.25, 0.75
+    p[1, [0, 1]] = 0.5, 0.5
+    p[2, 2] = 1.0
+    p[3, 4] = p[4, 3] = 1.0
+    p[5, [0, 2, 6]] = 0.3, 0.2, 0.5
+    p[6, [3, 5, 6]] = 0.6, 0.3, 0.1
+    return p
+
+
 SYNTHETIC_CHAINS = {
-    "identity": (np.eye(5), ("converged", 1)),
-    "6-cycle": (_functional_chain([1, 2, 3, 4, 5, 0]), ("converged", 1)),
-    "transient-into-3-cycle": (_functional_chain([1, 2, 3, 4, 2]), ("repeat", 5)),
-    # feeders 0 and 3 make the masses on both cycles uneven: period lcm(2, 3)
-    "disjoint-2-and-3-cycles": (_functional_chain([1, 2, 1, 4, 5, 6, 4]), ("repeat", 7)),
-    # residuals 1/2, 1/2, 1/2, then an exact fixed point
-    "path-into-absorbing-cell": (_functional_chain([1, 2, 3, 3]), ("converged", 4)),
-    "fully-mixing": (np.random.default_rng(4).dirichlet(np.ones(8), size=8), ("converged", 25)),
-    "lazy-reset": (_lazy_reset(20, 1e-3), ("budget", 200)),
+    "lone-state": np.ones((1, 1)),
+    "identity": np.eye(5),
+    "6-cycle": _functional_chain([1, 2, 3, 4, 5, 0]),
+    "transient-into-3-cycle": _functional_chain([1, 2, 3, 4, 2]),
+    # feeders 0 and 3 make the masses on both cycles uneven
+    "disjoint-2-and-3-cycles": _functional_chain([1, 2, 1, 4, 5, 6, 4]),
+    "path-into-absorbing-cell": _functional_chain([1, 2, 3, 3]),
+    "three-classes-and-transients": _three_classes_and_transients(),
+    "fully-mixing": np.random.default_rng(4).dirichlet(np.ones(8), size=8),
+    "lazy-reset": _lazy_reset(20, 1e-3),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SYNTHETIC_CHAINS))
-def test_stationary_of_dense_bit_identical_on_synthetic_chains(name):
-    # the oracle's squaring never reads its plain sweeps' iterate, so the
-    # bytes agree wherever those sweeps do not converge (on the identity they
-    # converge at the uniform vector, the squaring's result as well); where
-    # they converge elsewhere, the squaring reaches a fixed point of its own
-    p, plain_end = SYNTHETIC_CHAINS[name]
-    assert _plain_phase(p) == plain_end
+def _classes_by_reachability(p: np.ndarray):
+    """(closed classes, transient states) of p from the transitive closure of
+    its support: s lies in a closed class when every state it reaches
+    reaches it back, and that class is the set of states s reaches."""
+    n = p.shape[0]
+    reach = (p != 0.0) | np.eye(n, dtype=bool)
+    for _ in range(max(n - 1, 1).bit_length()):
+        reach = (reach.astype(np.float64) @ reach) > 0.0
+    closed = np.array([reach[reach[s], s].all() for s in range(n)])
+    classes = sorted({tuple(np.flatnonzero(reach[s])) for s in np.flatnonzero(closed)})
+    return [list(c) for c in classes], np.flatnonzero(~closed)
+
+
+def _check_uniform_start_limit(p: np.ndarray) -> None:
+    """The closed-class limit of p passes its certificate, is stationary, is
+    0 on transient states, gives each closed class the mass a walk from the
+    uniform start ends in it with, and lies within l1 1e-10 of squaring."""
+    assert metrics._closed_class_limit(p) is not None
     got = metrics._stationary_of_dense(p)
-    want = stationary_oracle(p)
-    if plain_end[0] != "converged" or name == "identity":
-        assert got.tobytes() == want.tobytes()
-    else:
-        assert np.abs(got @ p - got).sum() < metrics._POP_TOL
-        assert abs(got.sum() - 1.0) <= 1e-15
-        assert np.abs(got - want).sum() < 1e-12
+    want = stationary_oracle(p)  # squaring of (I + p)/2: its class sums are the absorption masses
+    classes, transient = _classes_by_reachability(p)
+    assert np.abs(got @ p - got).sum() < metrics._POP_TOL
+    assert abs(got.sum() - 1.0) <= 1e-15
+    assert (got[transient] == 0.0).all()
+    for members in classes:
+        assert abs(got[members].sum() - want[members].sum()) < 1e-10
+    assert np.abs(got - want).sum() < 1e-10
 
 
-def test_stationary_of_dense_bit_identical_on_reference_kernels(monkeypatch):
-    """Every kernel a default reference of ring-road-50, ring-road-200,
-    flocking-50 and Sioux Falls hands to the stationary solver: Sioux Falls'
-    plain sweeps all end at a repeat, the others' use up their budget."""
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_CHAINS))
+def test_uniform_start_limit_on_synthetic_chains(name):
+    _check_uniform_start_limit(SYNTHETIC_CHAINS[name])
+
+
+def _captured_kernels(monkeypatch, run):
+    """Every kernel handed to the stationary solver while run() runs."""
     solve = metrics._stationary_of_dense
+    kernels = []
+
+    def capture(p):
+        kernels.append(p.copy())
+        return solve(p)
+
+    monkeypatch.setattr(metrics, "_stationary_of_dense", capture)
+    run()
+    monkeypatch.setattr(metrics, "_stationary_of_dense", solve)
+    assert kernels
+    return kernels
+
+
+def test_uniform_start_limit_on_reference_kernels(monkeypatch):
+    """Every kernel a default reference of ring-road-50, ring-road-200,
+    flocking-50 and Sioux Falls hands to the stationary solver.  Flocking's
+    chains have up to 9 closed classes and Sioux Falls' up to 7, with
+    transient states; squaring leaves up to l1 4e-11 on flocking's."""
+    most = {}
     for name in ("ring-road-50", "ring-road-200", "flocking-50", "sioux-falls"):
-        kernels = []
+        env = SHIPPED_ENVS[name]()
+        for p in _captured_kernels(monkeypatch, lambda: model_based_fpi_fp(env)):
+            _check_uniform_start_limit(p)
+            n_classes = len(_classes_by_reachability(p)[0])
+            most[name] = max(most.get(name, 0), n_classes)
+    assert most["ring-road-50"] == most["ring-road-200"] == 1
+    assert most["flocking-50"] > 1 and most["sioux-falls"] > 1
 
-        def capture(p):
-            kernels.append(p.copy())
-            return solve(p)
 
-        monkeypatch.setattr(metrics, "_stationary_of_dense", capture)
-        model_based_fpi_fp(SHIPPED_ENVS[name]())
-        monkeypatch.setattr(metrics, "_stationary_of_dense", solve)
-        assert kernels
-        ends = {_plain_phase(p)[0] for p in kernels}
-        assert ends == ({"repeat"} if name == "sioux-falls" else {"budget"})
-        for p in kernels:
-            assert solve(p).tobytes() == stationary_oracle(p).tobytes()
+def test_a_numerically_reducible_chain_takes_squarings_bytes(monkeypatch, tmp_path):
+    # the snapshots of a Sioux Falls SemiSGD run are softmax chains with
+    # probabilities near 1e-320: irreducible in their support, not in floating
+    # point, so the closed-class solve fails its certificate there
+    spec = ExperimentSpec(env="sioux-falls", algorithm="semisgd", steps=3000, alpha=1e-2,
+                          cadence=1500, expl_every=1500, reference_outer_iters=3, seeds=(0,),
+                          out=str(tmp_path / "run"))
+    kernels = _captured_kernels(monkeypatch, lambda: cmd_run(spec))
+    reducible = [p for p in kernels if metrics._closed_class_limit(p) is None]
+    assert reducible
+    for p in reducible:
+        assert 0.0 < p[p > 0.0].min() < 1e-300
+        assert metrics._stationary_of_dense(p).tobytes() == stationary_oracle(p).tobytes()
+
+
+def test_closed_classes_of_long_paths_and_cycles():
+    # the search keeps its own stack: a path 5,000 states deep raises no
+    # RecursionError
+    n = 5000
+    path = list(range(1, n)) + [n - 1]
+    assert metrics._closed_classes(n, list(range(n + 1)), path) == [[n - 1]]
+    cycle = list(range(1, n)) + [0]
+    assert metrics._closed_classes(n, list(range(n + 1)), cycle) == [list(range(n))]
+
+
+def test_closed_classes_match_reachability_on_random_graphs():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 25))
+        p = (rng.random((n, n)) < rng.uniform(0.0, 0.3)).astype(np.float64)
+        tails, heads = np.nonzero(p)
+        starts = np.searchsorted(tails, np.arange(n + 1)).tolist()
+        got = metrics._closed_classes(n, starts, heads.tolist())
+        assert sorted(got) == _classes_by_reachability(p)[0]
+
+
+def test_a_periodic_class_gets_the_uniform_vector_exactly():
+    p = SYNTHETIC_CHAINS["6-cycle"]
+    assert metrics._stationary_of_dense(p).tobytes() == np.full(6, 1.0 / 6.0).tobytes()
 
 
 # the uniform policy's exploitability (every online run's t = 0 snapshot) as
-# float.hex, recorded while the stationary solver still ran plain power
-# sweeps before its squaring.  Under this policy those sweeps converged at
-# once on the grids, so the squaring's population is another rounding of the
-# same fixed point; the exploitability must be the same float.
+# float.hex, recorded with the closed-class stationary solve.
 UNIFORM_POLICY_EXPLOITABILITY = {
-    "ring-road-50": "0x1.4cc1624f554d8p-4",
-    "ring-road-200": "0x1.4585bdf481412p-4",
-    "flocking-50": "0x1.757b7340c312bp-2",
-    "sioux-falls": "0x1.ec06436275be4p+1",
+    "ring-road-50": "0x1.4cc1624f554d7p-4",
+    "ring-road-200": "0x1.4585bdf48141ap-4",
+    "flocking-50": "0x1.757b7340c3125p-2",
+    "sioux-falls": "0x1.ec06436275c16p+1",
 }
 
 
