@@ -136,11 +136,15 @@ def _has_type(value, hint) -> bool:
 
 def spec_from_config(config: dict, command: str = "run", **overrides) -> ExperimentSpec:
     """The spec of ``command`` from a config object, each override over its
-    key; a key outside its ``SUBCOMMAND_KEYS`` row is a ConfigError."""
+    key; a key outside its ``SUBCOMMAND_KEYS`` row, or ``inner_k`` for
+    ``semisgd``, is a ConfigError."""
     if not isinstance(config, dict):
         raise ConfigError("a config must be a JSON object")
     config = {**config, **overrides}
-    unread = set(config) - set(SUBCOMMAND_KEYS[command])
+    read = set(SUBCOMMAND_KEYS[command])
+    if config.get("algorithm", ExperimentSpec.algorithm) == "semisgd":
+        read.discard("inner_k")  # SemiSGD takes one sample per pass
+    unread = set(config) - read
     if unread:
         raise ConfigError(f"{command} does not read the config keys {sorted(unread)}")
     hints = get_type_hints(ExperimentSpec)
@@ -301,15 +305,16 @@ def _run_seeds(env: EnvironmentModel, cfgs: List[RunConfig], mu_ref: np.ndarray,
     exploitability are checked finite.
 
     Each run is one call of the module attribute ``run_semisgd`` or
-    ``run_online_fpi``.  A generator, so a caller that only summarizes the
-    records holds none but the last one it received.
+    ``run_online_fpi``, one function that reads the algorithm from the
+    config.  A generator, so a caller that only summarizes the records holds
+    none but the last one it received.
     """
     for cfg in cfgs:
+        # the same learner; the name only labels the benchmark's RUN_SPANS
         run = run_semisgd if cfg.algorithm == "semisgd" else run_online_fpi
         record = run(env, cfg, basis=basis, mu_ref=mu_ref, ref_map=ref_map)
         _check_finite(record.mse)
-        if record.expl_values is not None:
-            _check_finite(record.expl_values)
+        _check_finite([e for e in record.expl if e is not None])
         yield record
 
 
@@ -319,29 +324,12 @@ class _Metrics(NamedTuple):
 
     steps: np.ndarray
     mse: np.ndarray
-    expl_steps: Optional[np.ndarray]
-    expl_values: Optional[np.ndarray]
-
-
-def _expl_at(record: Union[RunRecord, _Metrics], i: int) -> Optional[float]:
-    """The record's exploitability at its i-th snapshot; None if it took none
-    there.  Exploitability is only taken at snapshots, in step order, so a
-    binary search finds it."""
-    if record.expl_steps is None:
-        return None
-    t = record.steps[i]
-    j = np.searchsorted(record.expl_steps, t)
-    if j < record.expl_steps.size and record.expl_steps[j] == t:
-        return record.expl_values[j]
-    return None
+    expl: List[Optional[float]]
 
 
 def _record_rows(record: RunRecord) -> List[List[str]]:
-    rows = []
-    for i, t in enumerate(record.steps.tolist()):
-        e = _expl_at(record, i)
-        rows.append([str(t), _fmt(record.mse[i]), "" if e is None else _fmt(e)])
-    return rows
+    return [[str(t), _fmt(m), "" if e is None else _fmt(e)]
+            for t, m, e in zip(record.steps.tolist(), record.mse, record.expl)]
 
 
 def _summary_row(records: Iterable[Union[RunRecord, _Metrics]], i: int) -> List[str]:
@@ -356,7 +344,7 @@ def _summary_row(records: Iterable[Union[RunRecord, _Metrics]], i: int) -> List[
     for record in records:
         step = record.steps[i]
         mse.append(record.mse[i])
-        expl.append(_expl_at(record, i))
+        expl.append(record.expl[i])
     mse = np.array(mse)
     row = [str(step), _fmt(mse.mean()), _fmt(_std(mse))]
     if any(e is None for e in expl):
@@ -404,8 +392,7 @@ def cmd_run(spec: ExperimentSpec) -> Path:
             ["step", "mse", "exploitability"],
             _record_rows(record),
         )
-        records.append(_Metrics(record.steps, record.mse,
-                                record.expl_steps, record.expl_values))
+        records.append(_Metrics(record.steps, record.mse, record.expl))
     _write_csv(
         out_dir / "aggregate.csv",
         ["step", "mse_mean", "mse_std", "expl_mean", "expl_std"],

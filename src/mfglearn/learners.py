@@ -1,16 +1,17 @@
 """Online learners and the model-based reference solver.
 
-Both online learners run one sample loop, ``_run_passes``, in passes of K
-samples.  A pass draws its samples under the policy of the Q it starts from
-and updates the population weights after each sample (forward pass), then
-replays the same samples with the same step sizes to update the value
-weights (backward pass).  A run keeps one policy-row cache for all its
+``run_online_fpi`` is the one online learner: it runs the algorithm its
+config names in passes of K samples, K = 1 for SemiSGD and ``inner_k`` for
+an FPI variant.  A pass draws its samples under the policy of the Q it
+starts from and updates the population weights after each sample (forward
+pass), then replays the same samples with the same step sizes to update the
+value weights (backward pass).  A run keeps one policy-row cache for all its
 passes; every write to Q drops the rows it moves, and the next draw that
-misses recomputes them together.  ``run_online_fpi`` is this forward-backward
-baseline; ``run_semisgd`` is the case K = 1, in which every observation
-updates the value and population weights with the same step size, followed
-by the ball and simplex projections.  So online FPI with K = 1 retraces
-SemiSGD bit for bit under the same seed.
+misses recomputes them together.  At K = 1 every observation updates the
+value and population weights with the same step size, followed by the ball
+and simplex projections: that is SemiSGD, so online FPI with K = 1 retraces
+it bit for bit under the same seed.  ``run_semisgd`` is another name of the
+same function.
 
 ``model_based_fpi_fp`` computes the reference equilibrium by alternating
 exact best responses (policy iteration), induced-population computation,
@@ -98,8 +99,7 @@ class RunRecord:
     algorithm: str
     steps: np.ndarray
     mse: Optional[np.ndarray]
-    expl_steps: Optional[np.ndarray]
-    expl_values: Optional[np.ndarray]
+    expl: List[Optional[float]]  # one cell per snapshot, None where none was taken
     final: UnifiedParameter
     param_trace: Optional[List[UnifiedParameter]] = None
 
@@ -143,7 +143,7 @@ class _RowCache(dict):
 
 
 class _OnlineRun:
-    """Chain and update plumbing of the sample loop ``_run_passes``.
+    """Chain and update plumbing of the sample loop ``run_online_fpi``.
 
     Holds flat parameter vectors plus a tabular (S, A) view of theta when
     the feature map is one-hot, the current chain position, the source
@@ -372,7 +372,8 @@ class _OnlineRun:
 
 class _Recorder:
     """Collects MSE / exploitability snapshots at the steps the sample loop
-    passes it, exploitability only at multiples of ``expl_every``."""
+    passes it, exploitability only at multiples of ``expl_every`` and None
+    at the others."""
 
     def __init__(
         self,
@@ -388,8 +389,7 @@ class _Recorder:
         self.ref_map = ref_map
         self.steps: List[int] = []
         self.mse: List[float] = []
-        self.expl_steps: List[int] = []
-        self.expl: List[float] = []
+        self.expl: List[Optional[float]] = []
         self.trace: Optional[List[UnifiedParameter]] = [] if record_params else None
 
     def snapshot(self, t: int):
@@ -404,8 +404,9 @@ class _Recorder:
             run = self.run
             pi = policy_matrix(run.pol, q_table(run.theta, run.phi, run.env), run.feasible)
             mu_pi = induced_population(pi, run.env)
-            self.expl_steps.append(t)
             self.expl.append(_exploitability_at(pi, run.env, mu_pi))
+        else:
+            self.expl.append(None)
 
     def to_record(self, seed: int, algorithm: str) -> RunRecord:
         return RunRecord(
@@ -413,8 +414,7 @@ class _Recorder:
             algorithm=algorithm,
             steps=np.array(self.steps, dtype=int),
             mse=np.array(self.mse) if self.mse else None,
-            expl_steps=np.array(self.expl_steps, dtype=int) if self.expl else None,
-            expl_values=np.array(self.expl) if self.expl else None,
+            expl=self.expl,
             final=self.run.parameter(),
             param_trace=self.trace,
         )
@@ -444,28 +444,41 @@ def md_mix(theta_hist: np.ndarray, theta_new: np.ndarray, alpha: float) -> np.nd
     return (1.0 - alpha) * theta_hist + alpha * theta_new
 
 
-def _run_passes(
+def run_online_fpi(
     env: EnvironmentModel,
     cfg: RunConfig,
-    algorithm: str,
-    k: int,
-    phi: Optional[FeatureMap],
-    basis: Optional[MeasureBasis],
-    mu_ref: Optional[np.ndarray],
-    ref_map: Optional[np.ndarray],
-    record_params: bool,
+    phi: Optional[FeatureMap] = None,
+    basis: Optional[MeasureBasis] = None,
+    mu_ref: Optional[np.ndarray] = None,
+    ref_map: Optional[np.ndarray] = None,
+    record_params: bool = False,
     project: bool = True,
 ) -> RunRecord:
-    """The sample loop of both learners: T samples in passes of K.
+    """The online learner ``cfg.algorithm``: T samples from the default
+    initialization in passes of K, K = 1 for ``semisgd`` and ``cfg.inner_k``
+    for an FPI variant.
 
-    The forward pass never writes theta, so each pass draws from the Q it
-    started from and computes the policy row of a visited state at most
-    once.  The run's row cache outlives the pass: a row is recomputed only
-    after a write to Q moved it.  A snapshot inside a pass sees that frozen
-    theta; one at a pass boundary, t = T included, is taken after the
-    pass's value update and mixing.  A parameter is recorded after every
-    pass.
+    A pass advances the chain K steps under the policy of the Q it started
+    from, updating only the population weights (forward pass), then replays
+    the same observations with the same step sizes to update only the value
+    weights (backward pass), so it computes the policy row of a visited
+    state at most once.  The last pass is shorter when K does not divide T.
+    The FP variant damps the population toward its history after the
+    forward pass, MD damps Q after the backward pass, each with the step
+    size at the pass index, and ER divides the softmax inverse temperature
+    by 1e5.
+
+    Snapshots are taken at t = 0, every ``cfg.cadence`` steps and at t = T:
+    one inside a pass sees its frozen theta, one at a pass boundary follows
+    the pass's value update and mixing.  A parameter is recorded after
+    every pass.  ``project = False`` turns off the ball and simplex
+    projections.  The policy is the softmax at ``cfg.inverse_temperature``
+    and the discount ``env.gamma``, so the record is a deterministic
+    function of (env, cfg).
     """
+    algorithm = cfg.algorithm
+    # RunConfig holds an FPI variant's inner_k in [1, T]
+    k = 1 if algorithm == "semisgd" else cfg.inner_k
     phi, basis, pol = _defaults(env, cfg, phi, basis)
     if algorithm == "fpi-er":
         pol = softmax_operator(pol.inverse_temperature / ER_TEMPERATURE_DIVISOR)
@@ -506,60 +519,9 @@ def _run_passes(
     return rec.to_record(cfg.seed, algorithm)
 
 
-def run_semisgd(
-    env: EnvironmentModel,
-    cfg: RunConfig,
-    phi: Optional[FeatureMap] = None,
-    basis: Optional[MeasureBasis] = None,
-    mu_ref: Optional[np.ndarray] = None,
-    ref_map: Optional[np.ndarray] = None,
-    record_params: bool = False,
-    project: bool = True,
-) -> RunRecord:
-    """T sequential SemiSGD steps from the default initialization.
-
-    This is the sample loop with K = 1: each sample updates the population
-    and then the value weights with the same step size, and every snapshot
-    sees both updates.  Snapshots are taken at t = 0, every ``cfg.cadence``
-    steps, and at t = T.  ``project = False`` turns off the ball and simplex
-    projections.  The policy is the softmax at ``cfg.inverse_temperature``
-    and the discount ``env.gamma``, so the record is a deterministic
-    function of (env, cfg).
-    """
-    if cfg.algorithm != "semisgd":
-        raise ConfigError(f"config algorithm {cfg.algorithm!r} is not semisgd")
-    return _run_passes(env, cfg, "semisgd", 1, phi, basis, mu_ref, ref_map, record_params,
-                       project)
-
-
-def run_online_fpi(
-    env: EnvironmentModel,
-    cfg: RunConfig,
-    phi: Optional[FeatureMap] = None,
-    basis: Optional[MeasureBasis] = None,
-    mu_ref: Optional[np.ndarray] = None,
-    ref_map: Optional[np.ndarray] = None,
-    record_params: bool = False,
-) -> RunRecord:
-    """Online fixed-point iteration, ``cfg.algorithm``, with K = ``cfg.inner_k``
-    samples per outer loop.
-
-    Each outer loop freezes the policy at the current Q, advances the chain
-    K steps while updating only the population weights (forward pass), then
-    replays the same K observations in order to update only the value
-    weights with the rewards as observed (backward pass).  The FP variant
-    damps the population toward its history after the forward pass, MD
-    damps Q after the backward pass, each with the step size at the outer
-    index, and ER runs with the softmax inverse temperature divided by 1e5.
-    A snapshot at the end of an outer loop is taken after its value update
-    and mixing; one inside a forward pass sees the frozen Q.  The last loop
-    is shorter when K does not divide T.
-    """
-    if not cfg.algorithm.startswith("fpi-"):
-        raise ConfigError(f"config algorithm {cfg.algorithm!r} is not an FPI variant")
-    # RunConfig holds an FPI variant's inner_k in [1, T]
-    return _run_passes(env, cfg, cfg.algorithm, cfg.inner_k, phi, basis, mu_ref, ref_map,
-                       record_params)
+# SemiSGD is online FPI with K = 1; the CLI calls the learner by both names
+# (see ``cli._run_seeds``)
+run_semisgd = run_online_fpi
 
 
 def model_based_fpi_fp(

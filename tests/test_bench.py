@@ -34,13 +34,17 @@ def test_tracer_spans_cover_the_current_program(tmp_path, ring200_reference_dir)
     try:
         tracing.install_timers(tracer, mfg)
         tracing.install_layers(tracer, mfg)
-        for algo in ("semisgd", "fpi-vanilla"):
+        run_spans = {}
+        for algo, flags in (("semisgd", []), ("fpi-vanilla", ["--inner-k", "10"])):
+            start = tracer.mark()
             code = mfg.cli.main([
-                "run", "--env", "toy", "--algo", algo, "--inner-k", "10", *common,
+                "run", "--env", "toy", "--algo", algo, *flags, *common,
                 "--no-exploitability",
                 "--out", str(tmp_path / algo),
             ])
             assert code == 0
+            opened = {tracer.names[i] for i in tracer.spans(start, tracer.mark())[0]}
+            run_spans[algo] = opened & set(tracing.RUN_SPANS)
         runs_end = tracer.mark()
         counts = tracer.take_counts()
         # the commands the workloads run: samples are counted per run call
@@ -51,6 +55,9 @@ def test_tracer_spans_cover_the_current_program(tmp_path, ring200_reference_dir)
     finally:
         tracer.uninstall()
     assert {n: getattr(mfg.learners, n) for n in originals} == originals
+    # one learner under two names: the CLI's choice of name labels the run's span
+    assert run_spans == {"semisgd": {"learners.run_semisgd"},
+                         "fpi-vanilla": {"learners.run_online_fpi"}}
 
     protocols = tracer.take_counts()
     assert protocols["learners.samples"] == 4 * seeds * steps  # two K values, two arms

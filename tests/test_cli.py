@@ -505,6 +505,8 @@ def test_unknown_algorithm_in_a_config_is_a_config_error_for_every_subcommand(tm
     (["compare-lfa", "--env", "ring-road", "--d2-list", "5"], {"algorithm": "semisgd"}),
     (["compare-lfa", "--env", "ring-road", "--d2-list", "5"], {"expl_every": None}),
     (["compare-lfa", "--env", "ring-road", "--d2-list", "5"], {"basis_d2": 5}),
+    # SemiSGD takes one sample per pass
+    (["run", "--env", "toy", "--algo", "semisgd"], {"inner_k": 10}),
 ])
 def test_a_config_key_the_subcommand_does_not_read_leaves_nothing(tmp_path, capsys, argv,
                                                                   config):
@@ -787,7 +789,7 @@ def test_sweep_k_computes_exploitability_only_where_written(tmp_path, monkeypatc
     for k in k_list:
         k_spec = replace(spec, algorithm="fpi-vanilla", inner_k=k)
         finals = np.array([
-            run_online_fpi(env, make_run_config(k_spec, env, seed), mu_ref=mu_ref).expl_values[-1]
+            run_online_fpi(env, make_run_config(k_spec, env, seed), mu_ref=mu_ref).expl[-1]
             for seed in spec.effective_seeds
         ])
         want.append([_fmt(finals.mean()), _fmt(_std(finals))])
@@ -799,7 +801,7 @@ def test_sweep_k_computes_exploitability_only_where_written(tmp_path, monkeypatc
     assert len(records) == len(k_list) * len(spec.effective_seeds)
     # sweep_k.csv reads only the last snapshot, so no run takes one in between
     assert all(r.steps.tolist() == [0, spec.steps] for r in records)
-    assert all(r.expl_steps.tolist() == [0, spec.steps] for r in records)
+    assert all(None not in r.expl for r in records)
     assert len(expl_calls) == 2 * len(records)
     rows = [line.split(",") for line in read(out / "sweep_k.csv").splitlines()[1:]]
     assert [row[3:] for row in rows] == want
@@ -825,7 +827,7 @@ def test_compare_lfa_computes_no_exploitability(tmp_path, monkeypatch, ring200_r
     cmd_compare_lfa(spec, [5])
     assert len(records) == 2
     assert all(r.steps.tolist() == [0, spec.steps] for r in records)
-    assert all(r.expl_steps is None for r in records)
+    assert all(r.expl == [None, None] for r in records)
     assert expl_calls == []
 
 

@@ -181,13 +181,14 @@ def test_pass_end_snapshots_follow_the_value_update_and_mixing(toy_env, toy_refe
     mu_ref = toy_reference.mu_star
     rec = run_online_fpi(toy_env, cfg, mu_ref=mu_ref, record_params=True)
     pol = learners._defaults(toy_env, cfg, None, None)[2]
-    assert rec.steps.tolist() == rec.expl_steps.tolist() == [0, 100, 200, 300, 400]
+    assert rec.steps.tolist() == [0, 100, 200, 300, 400]
+    assert None not in rec.expl
     for i, t in enumerate(rec.steps.tolist()[1:], start=1):
         xi = rec.param_trace[t // k - 1]
         d = xi.eta - mu_ref
         assert rec.mse[i] == d @ d, t
         pi = policy_matrix(pol, xi.theta.reshape(toy_env.n_states, toy_env.n_actions))
-        assert rec.expl_values[i] == exploitability(pi, toy_env), t
+        assert rec.expl[i] == exploitability(pi, toy_env), t
 
 
 def test_run_online_fpi_partial_final_loop(toy_env):
@@ -205,15 +206,18 @@ def test_run_online_fpi_rejects_oversized_k(toy_env):
     run_online_fpi(toy_env, small_cfg(toy_env, steps=10, algorithm="fpi-vanilla", inner_k=10))
 
 
-@pytest.mark.parametrize("run, algorithm, inner_k, message", [
-    (run_semisgd, "fpi-vanilla", 10, "'fpi-vanilla' is not semisgd"),
-    (run_online_fpi, "semisgd", None, "'semisgd' is not an FPI variant"),
-], ids=["semisgd", "fpi"])
-def test_a_run_rejects_a_config_of_another_algorithm(toy_env, run, algorithm, inner_k, message):
-    # the record is labelled with the run's algorithm, so the config must name it
-    cfg = small_cfg(toy_env, steps=10, algorithm=algorithm, inner_k=inner_k)
-    with pytest.raises(ConfigError, match=message):
-        run(toy_env, cfg)
+def test_one_learner_reads_k_from_the_config(toy_env):
+    # SemiSGD takes one sample per pass whatever inner_k its config holds
+    assert run_semisgd is run_online_fpi
+    traces = [
+        run_online_fpi(toy_env, small_cfg(toy_env, steps=300, inner_k=k), record_params=True)
+        .param_trace
+        for k in (None, 7)
+    ]
+    assert len(traces[0]) == len(traces[1]) == 300
+    for xa, xb in zip(*traces):
+        assert xa.theta.tobytes() == xb.theta.tobytes()
+        assert xa.eta.tobytes() == xb.eta.tobytes()
 
 
 def test_a_permuted_dirac_basis_records_the_mse_of_its_population(toy_env, toy_reference):
@@ -549,7 +553,7 @@ def test_run_record_snapshots(toy_env):
     rec = run_semisgd(toy_env, cfg, mu_ref=toy_env.initial_state)
     assert rec.steps.tolist() == [0, 100, 200]
     assert np.all(rec.mse >= 0)
-    assert 100 in rec.expl_steps.tolist()
+    assert rec.expl[1] is not None
 
 
 def test_model_based_fpi_fp_determinism(toy_env):
