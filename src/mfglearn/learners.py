@@ -13,6 +13,10 @@ and simplex projections: that is SemiSGD, so online FPI with K = 1 retraces
 it bit for bit under the same seed.  ``run_semisgd`` is another name of the
 same function.
 
+The sample loop is one flat loop over t with the chain position in locals,
+and the cached policy rows keep their CDFs as ``memoryview``s, so an action
+draw bisects Python floats.
+
 ``model_based_fpi_fp`` computes the reference equilibrium by alternating
 exact best responses (policy iteration), induced-population computation,
 and fictitious-play averaging of the population iterates.
@@ -128,6 +132,9 @@ class _RowCache(dict):
     """Policy rows and their inverse CDFs, ``state -> (row, cdf)``, and the
     ``stale`` states whose rows a write to their Q row dropped.  The next
     miss recomputes the stale rows with its own (``_OnlineRun._draw_action``).
+    Each CDF is a ``memoryview`` of the doubles of ``row.cumsum()``, with no
+    copy: ``bisect`` reads it as Python floats, where an array would box a
+    numpy scalar at every probe.
     """
 
     __slots__ = ("stale",)
@@ -143,19 +150,21 @@ class _RowCache(dict):
 
 
 class _OnlineRun:
-    """Chain and update plumbing of the sample loop ``run_online_fpi``.
+    """Update plumbing of the sample loop ``run_online_fpi``, which holds
+    the chain position itself.
 
     Holds flat parameter vectors plus a tabular (S, A) view of theta when
-    the feature map is one-hot, the current chain position, the source
-    ``rng`` of every transition and action draw (after ``init_from_seed``,
-    the seeded generator's ``_Uniforms``), and ``rows``, the policy rows of
-    the current Q.  Every write to theta goes through ``update_theta`` or
-    ``set_theta``, which keep ``rows`` valid.  A miss reads Q rows from
-    theta through ``q_rows``, so a dense map costs one row per missed state
-    and only a snapshot builds the (S, A) table.  The TD discount is the
-    game's, ``env.gamma``.  General bases and feature maps use the
+    the feature map is one-hot, the source ``rng`` of every transition and
+    action draw (after ``init_from_seed``, the seeded generator's
+    ``_Uniforms``), and ``rows``, the policy rows of the current Q.  Every
+    write to theta goes through ``update_theta`` or ``set_theta``, which
+    keep ``rows`` valid.  A miss reads Q rows from theta through
+    ``q_rows``, so a dense map costs one row per missed state and only a
+    snapshot builds the (S, A) table.  The TD discount is the game's,
+    ``env.gamma``.  General bases and feature maps use the
     semi-gradients of ``lfa``; the one-hot cases apply the same rules at a
-    single index.
+    single index, reading scalars with ``ndarray.item`` in the same IEEE
+    operations and order.
     """
 
     def __init__(
@@ -196,19 +205,18 @@ class _OnlineRun:
         # the Q rows at a state or a list of states, read from theta itself
         self.q_rows = (self.theta2d.__getitem__ if self.tabular_q
                        else lambda states: phi.features[states] @ self.theta)
-        self.s = 0
-        self.a = 0
         self.rng = None
 
     def init_from_seed(self, seed: int):
         """Default initialization: zero Q, random simplex population,
-        uniform initial state, on-policy initial action."""
+        uniform initial state, on-policy initial action.  Returns the
+        chain's first state and action."""
         rng = np.random.default_rng(seed)
         self.set_theta(0.0)
         self.eta = project_simplex(rng.random(self.basis.d2))
         self.rng = _Uniforms(rng)
-        self.s = sample_action(self.env.initial_state, self.rng)
-        self.a = self._draw_action(self.s)
+        s = sample_action(self.env.initial_state, self.rng)
+        return s, self._draw_action(s)
 
     @property
     def eta(self) -> np.ndarray:
@@ -225,27 +233,29 @@ class _OnlineRun:
 
     def _draw_action(self, s: int) -> int:
         """On-policy action at s from ``rng``, remapped to the feasible
-        actions there, through ``rows``.  A miss computes the rows at s and
-        at every stale state together from their ``q_rows``: row by row under
-        feasibility masks or for one row, one ``policy_row`` call otherwise."""
-        pol, feasible, rows, q_rows = self.pol, self.feasible, self.rows, self.q_rows
+        actions there, through ``rows``.  A hit reads only ``rows``, ``rng``
+        and ``feasible``.  A miss computes the rows at s and at every stale
+        state together from their ``q_rows``: row by row under feasibility
+        masks or for one row, one ``policy_row`` call otherwise."""
+        rows = self.rows
         entry = rows.get(s)
         if entry is None:
-            stale = rows.stale
+            pol, feasible, q_rows, stale = self.pol, self.feasible, self.q_rows, rows.stale
             stale.add(s)
             if feasible is not None or len(stale) == 1:
                 for t in stale:
                     row = policy_row(pol, q_rows(t) if feasible is None else q_rows(t)[feasible[t]])
-                    rows[t] = (row, row.cumsum())
+                    rows[t] = (row, memoryview(row.cumsum()))
             else:
                 states = list(stale)
                 block = policy_row(pol, q_rows(states))
                 cdfs = block.cumsum(axis=1)
                 for i, t in enumerate(states):
-                    rows[t] = (block[i], cdfs[i])
+                    rows[t] = (block[i], memoryview(cdfs[i]))
             stale.clear()
             entry = rows[s]
         j = sample_action(entry[0], self.rng, entry[1])
+        feasible = self.feasible
         return j if feasible is None else int(feasible[s][j])
 
     def represent(self) -> np.ndarray:
@@ -253,23 +263,7 @@ class _OnlineRun:
             return self._eta
         return self.basis.represent(self._eta)
 
-    # -- chain and updates ----------------------------------------------
-
-    def chain_step(self):
-        """Advance the chain one transition; the chain is never reset.
-
-        The next action is drawn under the policy of the current Q, which a
-        forward pass never writes, so it is the Q the pass started from.
-        Returns the observation (s, a, r, s_next, a_next).
-        """
-        env = self.env
-        m = self.represent()
-        s, a = self.s, self.a
-        r = env.reward(s, a, m)
-        s_next = env.sample_next(s, a, m, self.rng)
-        a_next = self._draw_action(s_next)
-        self.s, self.a = s_next, a_next
-        return s, a, r, s_next, a_next
+    # -- updates ----------------------------------------------------------
 
     def update_eta(self, s_next: int, alpha: float):
         """One population step with step size alpha in (0, 1), then the
@@ -300,7 +294,7 @@ class _OnlineRun:
         eta = self._eta
         if self.tabular_m:
             eta *= 1.0 - alpha
-            eta[s_next] += alpha
+            eta[s_next] = eta.item(s_next) + alpha
             if not self.project:
                 return
             drift = self.eta_drift
@@ -338,11 +332,12 @@ class _OnlineRun:
         rows = self.rows
         if self.tabular_q:
             q = self.theta2d
-            td = (q[s, a] - self.gamma * q[s_next, a_next]) - r
-            q[s, a] -= alpha * td
+            q_sa = q.item(s, a)
+            q_sa -= alpha * ((q_sa - self.gamma * q.item(s_next, a_next)) - r)
+            q[s, a] = q_sa
             if rows.pop(s, None) is not None:
                 rows.stale.add(s)
-            v = abs(q[s, a])
+            v = abs(q_sa)
             if v > self.theta_bound:
                 self.theta_bound = v
             if self.theta_bound <= self.bound_cap:
@@ -468,6 +463,14 @@ def run_online_fpi(
     size at the pass index, and ER divides the softmax inverse temperature
     by 1e5.
 
+    The loop runs once per sample: one ``step_size``, ``env.reward``,
+    ``env.sample_next`` and ``_OnlineRun._draw_action`` call, then the
+    population step, with the chain position (s, a) in locals.  The
+    callables are bound when the call starts, so a wrapper installed before
+    it is the one called.  The pass's observations wait in ``pending`` for
+    its backward pass, which ends the pass after sample t where
+    (t + 1) % K == 0 or t + 1 == T.
+
     Snapshots are taken at t = 0, every ``cfg.cadence`` steps and at t = T:
     one inside a pass sees its frozen theta, one at a pass boundary follows
     the pass's value update and mixing.  A parameter is recorded after
@@ -483,7 +486,7 @@ def run_online_fpi(
     if algorithm == "fpi-er":
         pol = softmax_operator(pol.inverse_temperature / ER_TEMPERATURE_DIVISOR)
     run = _OnlineRun(env, phi, basis, pol, cfg.ball_radius, project=project)
-    run.init_from_seed(cfg.seed)
+    s, a = run.init_from_seed(cfg.seed)
     rec = _Recorder(run, cfg.expl_every, mu_ref, ref_map, record_params)
     rec.snapshot(0)
     schedule = cfg.schedule
@@ -493,29 +496,43 @@ def run_online_fpi(
     fp, md = algorithm == "fpi-fp", algorithm == "fpi-md"
     eta_hist = run.eta.copy() if fp else None
     theta_hist = run.theta.copy() if md else None
+    # bound here, so a wrapper installed before the call is the one called
+    reward, sample_next, rng = env.reward, env.sample_next, run.rng
+    draw_action, update_eta, update_theta = run._draw_action, run.update_eta, run.update_theta
+    represent = None if run.tabular_m else basis.represent
+    pending = []  # (s, a, r, s_next, a_next, alpha) of the current pass
+    outer = 0
 
-    for outer, start in enumerate(range(0, total, k)):
-        end = min(start + k, total)
-        obs = []
-        for t in range(start, end):
-            alpha = step_size(schedule, t)
-            ob = run.chain_step()
-            run.update_eta(ob[3], alpha)
-            obs.append((ob, alpha))
-            if (t + 1) % cadence == 0 and t + 1 < end:
-                rec.snapshot(t + 1)
+    for t in range(total):
+        alpha = step_size(schedule, t)
+        # the population read at the current eta; the next action under the
+        # Q the pass started from, which the forward pass never writes
+        m = run._eta if represent is None else represent(run._eta)
+        r = reward(s, a, m)
+        s_next = sample_next(s, a, m, rng)
+        a_next = draw_action(s_next)
+        update_eta(s_next, alpha)
+        pending.append((s, a, r, s_next, a_next, alpha))
+        s, a = s_next, a_next
+        n = t + 1  # samples taken; a pass ends at a multiple of K or at T
+        if n % k and n != total:
+            if n % cadence == 0:
+                rec.snapshot(n)
+            continue
         if fp:
             run.eta = fp_mix(eta_hist, run.eta, step_size(schedule, outer))
             eta_hist = run.eta.copy()
-        for ob, alpha in obs:
-            run.update_theta(*ob, alpha)
+        for ob in pending:
+            update_theta(*ob)
+        pending.clear()
         if md:
             run.set_theta(md_mix(theta_hist, run.theta, step_size(schedule, outer)))
             theta_hist = run.theta.copy()
         if trace is not None:
             trace.append(run.parameter())
-        if end == total or end % cadence == 0:
-            rec.snapshot(end)
+        if n == total or n % cadence == 0:
+            rec.snapshot(n)
+        outer += 1
     return rec.to_record(cfg.seed, algorithm)
 
 

@@ -169,11 +169,11 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     equal.
     """
     v = np.asarray(v, dtype=np.float64)
-    total = float(v.sum())
-    if not math.isfinite(total) and not np.all(np.isfinite(v)):
-        raise ValueError("project_simplex requires finite input")
     if v.ndim != 1 or v.size == 0:
         raise ValueError("project_simplex expects a non-empty vector")
+    total = float(np.add.reduce(v))  # the reduction v.sum() calls, without its wrapper
+    if not math.isfinite(total) and not np.all(np.isfinite(v)):
+        raise ValueError("project_simplex requires finite input")
     if abs(total - 1.0) <= SIMPLEX_TOL and v.min() >= 0.0:
         return v.copy()
     rho, css_rho, acc = 0, 0.0, 0.0

@@ -13,9 +13,10 @@ limit of the population from the uniform start (the Cesaro limit where the
 chain is periodic), built exactly from the closed classes of the policy
 kernel's support: one linear solve gives every class's stationary vector
 and one more the mass the transient states send to each class.  A result
-that fails its certificate (a chain that is irreducible in its support but
-not in floating point) is found instead by repeated squaring of the damped
-kernel (I + p)/2.  Population-dependent kernels are swept to their fixed
+that fails its certificate (a chain that is reducible in its support, with
+transient states that are closed in floating point because their only exits
+have probabilities near 1e-300) is found instead by repeated squaring of the
+damped kernel (I + p)/2.  Population-dependent kernels are swept to their fixed
 point.
 """
 
@@ -157,8 +158,10 @@ def _closed_class_limit(p: np.ndarray) -> Optional[np.ndarray]:
     each class's first state replaced by its class sum = 1.  The result is
     normalised to sum one.  The certificate: both solves succeed, B >= 0
     with rows summing to one, m >= 0, and |m p - m|_1 < ``_POP_TOL``.  It
-    fails on chains that are irreducible in their support but not in
-    floating point, such as softmax chains with probabilities near 1e-300.
+    fails on chains that are reducible in their support, with transient
+    states that are closed in floating point: softmax chains whose only
+    exits from those states have probabilities near 1e-300, so a row of
+    P_TT sums to exactly 1.0 and I - P_TT can be singular.
     """
     n = p.shape[0]
     flat = np.flatnonzero(p.reshape(-1) != 0.0)

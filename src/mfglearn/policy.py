@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,21 +61,24 @@ def policy_row(op: PolicyOperator, q_row: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_action(dist: np.ndarray, rng, cdf: Optional[np.ndarray] = None) -> int:
+def sample_action(dist: np.ndarray, rng, cdf: Optional[Sequence[float]] = None) -> int:
     """Inverse-CDF sample over action indices in increasing order: the first
     index whose running sum of ``dist`` exceeds one uniform ``rng.random()``.
 
-    ``cdf`` is ``dist.cumsum()``; a caller drawing from one row many times
-    passes the one it holds, and it is computed here otherwise.  A zero
-    entry repeats the running sum before it, so an index found this way has
-    nonzero mass.  Only a draw at or past the float total mass ``cdf[-1]``
-    finds none, and takes the last action of nonzero mass.  ``rng`` is any
-    source with ``.random()``.
+    ``cdf`` is any indexable sequence of the running sums, the doubles of
+    ``dist.cumsum()``, such as that array or a ``memoryview`` of it, which
+    ``bisect`` reads as Python floats instead of boxing a numpy scalar per
+    probe; a caller drawing from one row many times passes the one it
+    holds, and it is computed here otherwise.  A zero entry repeats the
+    running sum before it, so an index found this way has nonzero mass.
+    Only a draw at or past the float total mass ``cdf[-1]`` finds none, and
+    takes the last action of nonzero mass.  ``rng`` is any source with
+    ``.random()``.
     """
     if cdf is None:
         cdf = dist.cumsum()
     idx = bisect_right(cdf, rng.random())
-    if idx == cdf.shape[0]:
+    if idx == len(cdf):
         idx = int(np.flatnonzero(dist)[-1])
     return idx
 

@@ -86,35 +86,38 @@ def constant_reward_env(reward_value, n_states=2, gamma=0.0):
 
 def semisgd_step(env, eta, s, alpha):
     """One SemiSGD step of ``_OnlineRun`` from zero Q, population weights
-    ``eta`` and state s with action 0, as ``run_semisgd`` takes it."""
+    ``eta`` and state s with action 0, as ``run_semisgd`` takes it.
+    Returns the run and the sampled next state."""
     phi = one_hot_feature_map(env.states, env.actions)
     run = learners._OnlineRun(env, phi, one_hot_measure_basis(env.states),
                               argmax_operator(), np.inf)
     run.eta = np.array(eta)
-    run.s, run.a, run.rng = s, 0, np.random.default_rng(0)
-    s, a, r, s_next, a_next = run.chain_step()
+    run.rng = np.random.default_rng(0)
+    r = env.reward(s, 0, run.eta)
+    s_next = env.sample_next(s, 0, run.eta, run.rng)
+    a_next = run._draw_action(s_next)
     run.update_eta(s_next, alpha)
-    run.update_theta(s, a, r, s_next, a_next, alpha)
-    return run
+    run.update_theta(s, 0, r, s_next, a_next, alpha)
+    return run, s_next
 
 
 def test_semisgd_step_tabular_q_substitution():
     # gamma = 0, zero Q, r = 1, alpha = 0.5: the visited entry becomes 0.5
-    run = semisgd_step(constant_reward_env(1.0), [0.5, 0.5], s=1, alpha=0.5)
+    run, _ = semisgd_step(constant_reward_env(1.0), [0.5, 0.5], s=1, alpha=0.5)
     np.testing.assert_array_equal(run.theta, [0.0, 0.5])
 
 
 def test_semisgd_step_population_arithmetic():
     # alpha = 0.1, eta = (0.5, 0.5), s' = 0 -> (0.55, 0.45), no projection
-    run = semisgd_step(constant_reward_env(0.0), [0.5, 0.5], s=1, alpha=0.1)
+    run, s_next = semisgd_step(constant_reward_env(0.0), [0.5, 0.5], s=1, alpha=0.1)
     np.testing.assert_allclose(run.eta, [0.55, 0.45], atol=1e-15)
-    assert run.s == 0
+    assert s_next == 0
 
 
 def test_semisgd_step_fixed_point_unchanged():
     # zero rewards, zero Q, eta already the point mass at the absorbing
     # state: both semi-gradients vanish and the parameter stays put
-    run = semisgd_step(constant_reward_env(0.0), [1.0, 0.0], s=0, alpha=0.3)
+    run, _ = semisgd_step(constant_reward_env(0.0), [1.0, 0.0], s=0, alpha=0.3)
     np.testing.assert_array_equal(run.theta, np.zeros(2))
     np.testing.assert_array_equal(run.eta, [1.0, 0.0])
 
@@ -529,6 +532,109 @@ def test_model_based_fpi_fp_bytes_match_reference_digests(name, expl_every):
     assert got == want
 
 
+def _record_case(name):
+    """The run of one ``RECORD_DIGESTS`` case: (env, cfg, keyword arguments)."""
+    from mfglearn.cli import DEFAULT_INVERSE_TEMPERATURE, default_ball_radius
+    from mfglearn.lfa import tan_normal_basis
+
+    env_tag, algorithm, k, steps, cadence, extra = RECORD_CASES[name]
+    env = {
+        "toy": lambda: toy_finite_env(3, 2, seed=7),
+        "ring-road": lambda: ring_road_env(50),
+        "ring-road-200": lambda: ring_road_env(200),
+        "sioux-falls": sioux_falls_env,
+    }[env_tag]()
+    cfg = RunConfig(
+        total_steps=steps,
+        schedule=StepSizeSchedule(0.05, b=0.01),
+        inverse_temperature=DEFAULT_INVERSE_TEMPERATURE[env_tag.replace("-200", "")],
+        # a ball that the projected runs leave mid-run, where it is turned off
+        ball_radius=0.006 if extra == "no-project" else default_ball_radius(env),
+        seed=5,
+        inner_k=k,
+        algorithm=algorithm,
+        cadence=cadence,
+        expl_every=2 * cadence,
+    )
+    kwargs = {"mu_ref": env.initial_state, "record_params": True}
+    if extra in ("no-project", "tan-normal-5-no-project"):
+        kwargs["project"] = False
+    if extra == "identity":
+        kwargs["phi"] = identity_features(env.n_states, env.n_actions)
+    elif extra == "low-rank":
+        kwargs["phi"] = _low_rank_features(env.n_states, env.n_actions, 4, seed=5)
+    elif extra in ("tan-normal-5", "tan-normal-5-no-project"):
+        kwargs["basis"] = tan_normal_basis(env.states, 5)
+    return env, cfg, kwargs
+
+
+def _record_digest(rec) -> str:
+    """SHA-256 over every field of a ``RunRecord``: the seed, the label and
+    the exploitability cells by ``repr`` (exact for floats), the arrays by
+    their bytes, and theta and eta of the final and every traced parameter."""
+    h = hashlib.sha256(repr((rec.seed, rec.algorithm, rec.expl)).encode())
+    h.update(rec.steps.tobytes())
+    h.update(b"no mse" if rec.mse is None else rec.mse.tobytes())
+    for xi in [rec.final, *(rec.param_trace or [])]:
+        h.update(xi.theta.tobytes())
+        h.update(xi.eta.tobytes())
+    return h.hexdigest()
+
+
+# Runs the CSV golden digests do not reach: (env, algorithm, K, T, cadence,
+# variant), each with MSE against the uniform start, exploitability at every
+# second snapshot and the parameter after every pass.  K = 7 at cadence 30
+# puts snapshots inside passes and leaves a short last pass.
+RECORD_CASES = {
+    "toy-k7-vanilla": ("toy", "fpi-vanilla", 7, 200, 30, None),
+    "toy-k7-fp": ("toy", "fpi-fp", 7, 200, 30, None),
+    "toy-k7-md": ("toy", "fpi-md", 7, 200, 30, None),
+    "toy-k7-er": ("toy", "fpi-er", 7, 200, 30, None),
+    "ring-road-k7-vanilla": ("ring-road", "fpi-vanilla", 7, 200, 30, None),
+    "ring-road-semisgd": ("ring-road", "semisgd", None, 600, 100, None),
+    "toy-semisgd-no-project": ("toy", "semisgd", None, 600, 100, "no-project"),
+    "toy-md-k10-no-project": ("toy", "fpi-md", 10, 600, 100, "no-project"),
+    "toy-semisgd-identity": ("toy", "semisgd", None, 600, 100, "identity"),
+    "toy-vanilla-k10-identity": ("toy", "fpi-vanilla", 10, 600, 100, "identity"),
+    "toy-semisgd-low-rank": ("toy", "semisgd", None, 600, 100, "low-rank"),
+    "toy-md-k7-low-rank": ("toy", "fpi-md", 7, 200, 30, "low-rank"),
+    "tan-normal-5-fp-k10": ("ring-road-200", "fpi-fp", 10, 300, 100, "tan-normal-5"),
+    "tan-normal-5-er-k10": ("ring-road-200", "fpi-er", 10, 300, 100, "tan-normal-5"),
+    "tan-normal-5-semisgd-no-project": ("ring-road-200", "semisgd", None, 300, 100,
+                                        "tan-normal-5-no-project"),
+    "sioux-falls-semisgd": ("sioux-falls", "semisgd", None, 600, 100, None),
+    "sioux-falls-vanilla-k1": ("sioux-falls", "fpi-vanilla", 1, 600, 100, None),
+}
+
+# ``_record_digest`` of each case, recorded with numpy 2.4 on x86-64.  A
+# speed change to the sample loop keeps every one.
+RECORD_DIGESTS = {
+    "ring-road-k7-vanilla": "18def99422e8f33fa48f0392ba0c7b5b78f38d528a335d999d2ed90b441c6a62",
+    "ring-road-semisgd": "679cf1831a795b26e16eb2357983c97c154fa5a12917418c10b6a2c93267d981",
+    "sioux-falls-semisgd": "1811e426a33357327f7841bffac703e3b4c4a730554be2ee0ef7180830e4378a",
+    "sioux-falls-vanilla-k1": "2cb99da46ca52fdef214d83df5548dd61855799588e42fa87eeb6b2510aeb577",
+    "tan-normal-5-er-k10": "0dc8a40d030d601ee78efa81a516f260abae4c4889ccd0d03e071929354f581f",
+    "tan-normal-5-fp-k10": "94ac30619767cfb5d0ec383a827aa1411ac185fc47a954ab10f6e02cdead7a89",
+    "tan-normal-5-semisgd-no-project": "615d3ef8ffbe33dbf0198958513aec3e21ff42ab4a8717fb8c12871e51c0a3e3",
+    "toy-k7-er": "8adbe74083943cbeef841ce8cb5acd8067fc1cf8e05619ff7dc7cbcc63cbcb33",
+    "toy-k7-fp": "43a4e192ff08f4628e2b345387bdb2fc1c5ca742296fd8c86d16cab80c581a3d",
+    "toy-k7-md": "648a184eaab4ca3c4d21458649ec8b5d55997568b55b7d24b944844e81e209cb",
+    "toy-k7-vanilla": "896f8e9d67e3436c094c34d43ba518c1da0ca5430ca6bce053842476646bd981",
+    "toy-md-k10-no-project": "4a6022733a20df57037fada3e849edee8fd6a6b7f49db985f8c28a720e0180d3",
+    "toy-md-k7-low-rank": "87e6086e60caf0284caec45755cf128dbf027bfce033ad0a0ddbbe6f0c399830",
+    "toy-semisgd-identity": "ec56f805b5b0a678bcd3f8b1d3441fbbf420aa8721fade773bd3056b01945a95",
+    "toy-semisgd-low-rank": "7496ee70f9f01757961dda2277bfea42dc85e28b240fd0de04f454c8519f599e",
+    "toy-semisgd-no-project": "ec56f805b5b0a678bcd3f8b1d3441fbbf420aa8721fade773bd3056b01945a95",
+    "toy-vanilla-k10-identity": "07b7190cf63a1237781072e4e20476cd86adcb9a6c2b1e756da205a2682d412b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CASES))
+def test_run_records_match_their_digests(name):
+    env, cfg, kwargs = _record_case(name)
+    assert _record_digest(run_online_fpi(env, cfg, **kwargs)) == RECORD_DIGESTS[name]
+
+
 def test_model_based_fpi_fp_gamma_zero():
     env = toy_finite_env(3, 2, seed=5, gamma=0.0)
     ref = model_based_fpi_fp(env)
@@ -568,10 +674,12 @@ def test_model_based_fpi_fp_determinism(toy_env):
 
 
 def _uncached_fpi_trace(env, cfg, variant, phi=None, basis=None):
-    """Online FPI written out apart from the learners' shared pass loop,
-    without its run-long row cache and without its projection guards: the
-    cache is emptied before every draw, so each draw recomputes its policy
-    row from theta, which the forward pass does not write; the backward
+    """Online FPI written out apart from the learners' sample loop, with its
+    own chain step (``env.reward``, ``env.sample_next`` and the run's
+    ``_draw_action``, at the population ``basis.represent(eta)``), without
+    the run-long row cache and without the projection guards: the cache is
+    emptied before every draw, so each draw recomputes its policy row from
+    theta, which the forward pass does not write; the backward
     pass recomputes step sizes, every sample runs the full simplex test
     (sign and sum) and takes the exact norm of theta, and the simplex
     projection is the frozen oracle.  ``phi`` and ``basis`` default to the
@@ -584,7 +692,7 @@ def _uncached_fpi_trace(env, cfg, variant, phi=None, basis=None):
     if variant == "er":
         pol = softmax_operator(pol.inverse_temperature / learners.ER_TEMPERATURE_DIVISOR)
     run = learners._OnlineRun(env, phi, basis, pol, cfg.ball_radius)
-    run.init_from_seed(cfg.seed)
+    state, action = run.init_from_seed(cfg.seed)
     theta, eta = run.theta, run.eta  # theta is written in place only
     eta_hist, theta_hist = eta.copy(), theta.copy()
     trace = []
@@ -596,8 +704,13 @@ def _uncached_fpi_trace(env, cfg, variant, phi=None, basis=None):
         obs = []
         for i in range(k_eff):
             run.rows.clear()
-            obs.append(run.chain_step())
-            s_next, alpha = obs[-1][3], step_size(cfg.schedule, base_t + i)
+            m = basis.represent(eta)  # the Dirac basis gives eta's own bytes
+            r = env.reward(state, action, m)
+            s_next = env.sample_next(state, action, m, run.rng)
+            a_next = run._draw_action(s_next)
+            obs.append((state, action, r, s_next, a_next))
+            state, action = s_next, a_next
+            alpha = step_size(cfg.schedule, base_t + i)
             if run.tabular_m:
                 eta *= 1.0 - alpha
                 eta[s_next] += alpha
@@ -901,7 +1014,7 @@ def test_simplex_sum_bound_is_sound_and_decides_as_the_full_test(
     monkeypatch.setattr(learners, "project_simplex", projection)
     phi, basis, pol = learners._defaults(env, small_cfg(env), None, None)
     run = learners._OnlineRun(env, phi, basis, pol, np.inf)
-    run.init_from_seed(3)
+    s, a = run.init_from_seed(3)
     rng = np.random.default_rng(4)
     writes = {
         steps // 4: lambda: fp_mix(rng.random(env.n_states), run.eta, 0.5),
@@ -913,7 +1026,9 @@ def test_simplex_sum_bound_is_sound_and_decides_as_the_full_test(
         if t in writes:
             run.eta = writes[t]()
         alpha = step_size(schedule, t)
-        s_next = run.chain_step()[3]
+        # the chain step without its reward, which nothing here reads
+        s_next = env.sample_next(s, a, run.eta, run.rng)
+        s, a = s_next, run._draw_action(s_next)
         want = run.eta.copy()
         want *= 1.0 - alpha
         want[s_next] += alpha

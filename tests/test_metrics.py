@@ -256,8 +256,9 @@ def test_uniform_start_limit_on_reference_kernels(monkeypatch):
 
 def test_a_numerically_reducible_chain_takes_squarings_bytes(monkeypatch, tmp_path):
     # the snapshots of a Sioux Falls SemiSGD run are softmax chains with
-    # probabilities near 1e-320: irreducible in their support, not in floating
-    # point, so the closed-class solve fails its certificate there
+    # probabilities near 1e-320: reducible in their support, with transient
+    # states that are closed in floating point because their only exits are
+    # that small, so the closed-class solve fails its certificate there
     spec = ExperimentSpec(env="sioux-falls", algorithm="semisgd", steps=3000, alpha=1e-2,
                           cadence=1500, expl_every=1500, reference_outer_iters=3, seeds=(0,),
                           out=str(tmp_path / "run"))

@@ -92,6 +92,33 @@ def test_sample_action_empirical_frequencies():
     assert np.all(np.abs(counts - dist * n) <= 3 * sigma)
 
 
+def test_sample_action_draws_the_same_index_from_a_memoryview_cdf():
+    # the row cache passes a memoryview of the CDF's doubles: every draw,
+    # at a running sum exactly, between sums, and at or past the float total
+    # of a row with trailing zero mass (the fallback), picks the index the
+    # array picks
+    rng = np.random.default_rng(5)
+    rows = [
+        np.array([0.1, 0.2, 0.3, 0.0, 0.0]),  # total 0.6: u >= cdf[-1] falls back to 2
+        np.array([0.0, 0.5, 0.5, 0.0]),
+        np.array([1.0]),
+        np.array([1.0, 0.0, 0.0]),
+    ] + [policy_row(softmax_operator(beta), rng.normal(size=n))
+         for beta in (1.0, 1e3) for n in (2, 5, 200)]
+    for dist in rows:
+        cdf = dist.cumsum()
+        draws = [0.0, 0.999999, float(np.nextafter(cdf[-1], 0.0)), *cdf.tolist(),
+                 *(cdf + 1e-17).tolist(), *rng.random(20).tolist()]
+        for u in draws:
+            want = sample_action(dist, FixedDraws([u]), cdf)
+            assert sample_action(dist, FixedDraws([u]), memoryview(cdf)) == want, (dist, u)
+            assert want == sample_action(dist, FixedDraws([u]))
+            if u >= cdf[-1]:
+                assert want == int(np.flatnonzero(dist)[-1])
+    # the fallback is reached: 0.6 is past the total mass of the first row
+    assert sample_action(rows[0], FixedDraws([0.7]), memoryview(rows[0].cumsum())) == 2
+
+
 def test_policy_matrix_respects_feasibility():
     q = np.array([[1.0, 9.0], [3.0, 2.0]])
     feasible = (np.array([0]), np.array([0, 1]))
