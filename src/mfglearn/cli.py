@@ -36,8 +36,6 @@ from .learners import (
 from .lfa import BasisError, tan_normal_basis
 from .metrics import MetricsError, resample_masses
 
-ENV_TAGS = ("ring-road", "flocking", "sioux-falls", "toy")
-
 # per-environment paper constants (inverse temperature of the softmax operator)
 DEFAULT_INVERSE_TEMPERATURE = {
     "ring-road": 1e9,
@@ -91,7 +89,7 @@ class ExperimentSpec:
         # as RunConfig does; sweep-k reads expl_every before it builds one
         if self.expl_every is not None and self.expl_every < 1:
             raise ConfigError("expl_every must be >= 1, or null for no exploitability")
-        if self.basis not in ("one-hot", "tan-normal"):
+        if self.basis not in VALUE_KEYS["basis"]:
             raise ConfigError(f"unknown basis {self.basis!r}")
         if self.reference_outer_iters < 1:
             raise ConfigError("reference_outer_iters must be >= 1")
@@ -120,6 +118,25 @@ SUBCOMMAND_KEYS = {
                     "reference", "reference_outer_iters"),
 }
 
+# The keys that only some values of env, basis and algorithm read (SemiSGD
+# takes one sample per pass), and what each value builds.  A SUBCOMMAND_KEYS
+# row that holds the choosing field accepts only its chosen value's keys.
+# The builders look constructors up by name, so bench/tracer.py can patch them.
+VALUE_KEYS = {
+    "env": {
+        "ring-road": (("env_size",), lambda spec: ring_road_env(spec.env_size)),
+        "flocking": (("env_size",), lambda spec: flocking_env(spec.env_size)),
+        "sioux-falls": (("network",), lambda spec: sioux_falls_env(spec.network)),
+        "toy": (("toy_states", "toy_actions", "toy_seed"),
+                lambda spec: toy_finite_env(spec.toy_states, spec.toy_actions, spec.toy_seed)),
+    },
+    "basis": {"one-hot": ((), lambda spec, env: None),
+              "tan-normal": (("basis_d2", "basis_c", "basis_v"), lambda spec, env: tan_normal_basis(
+                  env.states, spec.basis_d2, c=spec.basis_c, v=spec.basis_v))},
+    "algorithm": {a: ((), None) if a == "semisgd" else (("inner_k",), None) for a in ALGORITHMS},
+}
+ENV_TAGS = tuple(VALUE_KEYS["env"])
+
 
 def _has_type(value, hint) -> bool:
     """Whether a config value has the type of a spec field: an int field
@@ -136,14 +153,16 @@ def _has_type(value, hint) -> bool:
 
 def spec_from_config(config: dict, command: str = "run", **overrides) -> ExperimentSpec:
     """The spec of ``command`` from a config object, each override over its
-    key; a key outside its ``SUBCOMMAND_KEYS`` row, or ``inner_k`` for
-    ``semisgd``, is a ConfigError."""
+    key; a key outside its ``SUBCOMMAND_KEYS`` row, or a ``VALUE_KEYS`` key
+    the chosen env, basis or algorithm does not read, is a ConfigError."""
     if not isinstance(config, dict):
         raise ConfigError("a config must be a JSON object")
     config = {**config, **overrides}
     read = set(SUBCOMMAND_KEYS[command])
-    if config.get("algorithm", ExperimentSpec.algorithm) == "semisgd":
-        read.discard("inner_k")  # SemiSGD takes one sample per pass
+    for field, rows in VALUE_KEYS.items():
+        chosen = config.get(field, getattr(ExperimentSpec, field))
+        if field in read and isinstance(chosen, str) and chosen in rows:
+            read -= {key for keys, _ in rows.values() for key in keys} - set(rows[chosen][0])
     unread = set(config) - read
     if unread:
         raise ConfigError(f"{command} does not read the config keys {sorted(unread)}")
@@ -157,13 +176,7 @@ def spec_from_config(config: dict, command: str = "run", **overrides) -> Experim
 
 
 def build_env(spec: ExperimentSpec) -> EnvironmentModel:
-    if spec.env == "ring-road":
-        return ring_road_env(spec.env_size)
-    if spec.env == "flocking":
-        return flocking_env(spec.env_size)
-    if spec.env == "sioux-falls":
-        return sioux_falls_env(spec.network)
-    return toy_finite_env(spec.toy_states, spec.toy_actions, spec.toy_seed)
+    return VALUE_KEYS["env"][spec.env][1](spec)
 
 
 def default_ball_radius(env: EnvironmentModel) -> float:
@@ -294,9 +307,7 @@ def _run_configs(spec: ExperimentSpec, env: EnvironmentModel) -> List[RunConfig]
 
 def _spec_basis(spec: ExperimentSpec, env: EnvironmentModel):
     """The measure basis the spec names; None stands for one-hot."""
-    if spec.basis == "tan-normal":
-        return tan_normal_basis(env.states, spec.basis_d2, c=spec.basis_c, v=spec.basis_v)
-    return None
+    return VALUE_KEYS["basis"][spec.basis][1](spec, env)
 
 
 def _run_seeds(env: EnvironmentModel, cfgs: List[RunConfig], mu_ref: np.ndarray,
@@ -464,10 +475,8 @@ def cmd_compare_lfa(spec: ExperimentSpec, d2_list: List[int]) -> Path:
     fine_cfgs = _run_configs(spec, env_fine)
     coarse = [ring_road_env(int(d2)) for d2 in d2_list]
     coarse_cfgs = [_run_configs(spec, env) for env in coarse]
-    bases = [
-        tan_normal_basis(env_fine.states, int(d2), c=spec.basis_c, v=spec.basis_v)
-        for d2 in d2_list
-    ]
+    bases = [_spec_basis(replace(spec, basis="tan-normal", basis_d2=int(d2)), env_fine)
+             for d2 in d2_list]
     out_dir = Path(spec.out)
     mu_ref = ensure_reference(spec, env_fine, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -539,7 +548,7 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if "config" in args:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot parse config {args.config}: {exc}") from exc
     flags = {k: v for k, v in vars(args).items() if k in ExperimentSpec.__dataclass_fields__}
     if "seeds" in flags:

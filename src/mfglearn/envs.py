@@ -269,7 +269,7 @@ def _parse_network_file(path) -> tuple[int, list]:
     edges = []
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise NetworkLoadError(f"cannot read network file {path}: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from mfglearn.cli import (
     main,
     spec_from_config,
 )
-from mfglearn.core import ConfigError
+from mfglearn.core import ALGORITHMS, ConfigError
 from mfglearn.envs import default_network_path, ring_road_env
 from mfglearn.learners import ReferenceSolution
 
@@ -424,6 +425,27 @@ def test_malformed_integer_in_a_network_file_is_a_config_error(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_a_network_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    network = tmp_path / "net.txt"
+    network.write_bytes(b"nodes 24\xff")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"network": str(network)}))
+    out = tmp_path / "out"
+    assert main(["reference", "--env", "sioux-falls", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert f"config error: cannot read network file {network}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{")
+    out = tmp_path / "out"
+    assert main(["reference", "--env", "toy", "--config", str(config), "--out", str(out)]) == 2
+    assert f"config error: cannot parse config {config}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [
     {"steps": "100"},
     {"alpha": "0.1"},
@@ -507,6 +529,11 @@ def test_unknown_algorithm_in_a_config_is_a_config_error_for_every_subcommand(tm
     (["compare-lfa", "--env", "ring-road", "--d2-list", "5"], {"basis_d2": 5}),
     # SemiSGD takes one sample per pass
     (["run", "--env", "toy", "--algo", "semisgd"], {"inner_k": 10}),
+    # keys that only another env, or the tan-normal basis, reads
+    (["run", "--env", "toy"], {"network": "x"}),
+    (["run", "--env", "ring-road"], {"basis_d2": 3}),
+    (["run", "--env", "toy"], {"env_size": 5}),
+    (["reference", "--env", "sioux-falls"], {"toy_seed": 1}),
 ])
 def test_a_config_key_the_subcommand_does_not_read_leaves_nothing(tmp_path, capsys, argv,
                                                                   config):
@@ -537,18 +564,67 @@ SUBCOMMAND_ROWS = {
                     "ball_radius", "seeds", "seed_offset", "basis_c", "basis_v", "reference",
                     "reference_outer_iters"},
 }
+# the keys that only some values of env, basis and algorithm read
+READ_BY_VALUE = {
+    "env": {"ring-road": {"env_size"}, "flocking": {"env_size"}, "sioux-falls": {"network"},
+            "toy": {"toy_states", "toy_actions", "toy_seed"}},
+    "basis": {"one-hot": set(), "tan-normal": {"basis_d2", "basis_c", "basis_v"}},
+    "algorithm": {a: set() if a == "semisgd" else {"inner_k"} for a in ALGORITHMS},
+}
+
+
+def row_choices(command):
+    """Each combination of the env, basis and algorithm values a row chooses
+    among, with the keys of the row that combination reads."""
+    row = SUBCOMMAND_ROWS[command]
+    fields = [field for field in READ_BY_VALUE if field in row]
+    for values in itertools.product(*(READ_BY_VALUE[field] for field in fields)):
+        read = set(row)
+        for field, value in zip(fields, values):
+            read -= set().union(*READ_BY_VALUE[field].values()) - READ_BY_VALUE[field][value]
+        yield dict(zip(fields, values)), read
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ROWS))
 def test_a_config_of_every_key_in_a_row_parses(tmp_path, command):
+    # every key a (subcommand, env, basis, algorithm) reads parses; the row's
+    # other keys are config errors
     assert set(CONFIG_VALUES) == set(ExperimentSpec.__dataclass_fields__)
     assert set(cli.SUBCOMMAND_KEYS[command]) == SUBCOMMAND_ROWS[command]
-    config = {key: CONFIG_VALUES[key] for key in SUBCOMMAND_ROWS[command]}
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(config))
-    spec = cli.spec_from_args(cli.build_parser().parse_args([command, "--config", str(path)]))
-    assert {key: getattr(spec, key) for key in config} == {
-        key: tuple(value) if key == "seeds" else value for key, value in config.items()}
+    for choice, read in row_choices(command):
+        config = {key: choice.get(key, CONFIG_VALUES[key]) for key in read}
+        path.write_text(json.dumps(config))
+        spec = cli.spec_from_args(cli.build_parser().parse_args([command, "--config", str(path)]))
+        assert {key: getattr(spec, key) for key in config} == {
+            key: tuple(value) if key == "seeds" else value for key, value in config.items()}
+        for key in SUBCOMMAND_ROWS[command] - read:
+            with pytest.raises(ConfigError, match=rf"does not read the config keys \['{key}'\]"):
+                spec_from_config({**config, key: CONFIG_VALUES[key]}, command)
+
+
+def test_value_keys_name_spec_fields_of_some_row_and_every_value():
+    rows = set().union(*map(set, cli.SUBCOMMAND_KEYS.values()))
+    assert {field: {value: set(keys) for value, (keys, _) in table.items()}
+            for field, table in cli.VALUE_KEYS.items()} == READ_BY_VALUE
+    for table in cli.VALUE_KEYS.values():
+        for keys, _ in table.values():
+            assert set(keys) <= rows <= set(ExperimentSpec.__dataclass_fields__)
+    assert tuple(cli.VALUE_KEYS["env"]) == cli.ENV_TAGS == (
+        "ring-road", "flocking", "sioux-falls", "toy")
+    assert tuple(cli.VALUE_KEYS["algorithm"]) == ALGORITHMS
+    for basis in cli.VALUE_KEYS["basis"]:
+        ExperimentSpec(basis=basis)
+    with pytest.raises(ConfigError, match="unknown basis"):
+        ExperimentSpec(basis="grid")
+
+
+def test_an_env_builds_without_reading_the_keys_of_other_envs():
+    # every key another env reads holds a value its own builder would refuse
+    unread = dict(env_size=-1, network="no-such-network", toy_states=99)
+    for env, keys in READ_BY_VALUE["env"].items():
+        others = {key: value for key, value in unread.items() if key not in keys}
+        assert cli.build_env(ExperimentSpec(**{"env": env, "env_size": 5, **others})).n_states
 
 
 def test_the_benchmark_configs_run(tmp_path):
